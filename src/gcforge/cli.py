@@ -8,6 +8,7 @@ Exit codes: 0 success, 1 verification failure, 2 usage or data errors.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -64,6 +65,10 @@ class RunConfig:
             v = getattr(args, name, None)
             if v is not None and v < lo:
                 raise UsageError(f"--{name.replace('_', '-')} must be >= {lo}, got {v}")
+        for name in ("alpha", "beta", "sigma", "lr", "amplitude"):
+            v = getattr(args, name, None)
+            if v is not None and not math.isfinite(v):
+                raise UsageError(f"--{name} must be finite, got {v}")
         for name in ("alpha", "beta", "sigma", "lr"):
             v = getattr(args, name, None)
             if v is not None and v < 0:

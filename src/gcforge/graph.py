@@ -91,6 +91,11 @@ class Graph:
         """Neighbors of ``v`` as a bitmask (bit i set iff edge {v, i})."""
         return self._masks[v]
 
+    @property
+    def neighbor_masks(self) -> tuple[int, ...]:
+        """Every vertex's neighbor bitmask, indexed by vertex (immutable)."""
+        return self._masks
+
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented

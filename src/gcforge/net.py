@@ -420,7 +420,8 @@ class History:
         lines = ["epoch,train_loss,train_accuracy,test_accuracy"]
         for r in self.records:
             lines.append(
-                f"{r.epoch},{r.train_loss!r},{r.train_accuracy!r},{r.test_accuracy!r}"
+                f"{r.epoch},{float(r.train_loss)!r},{float(r.train_accuracy)!r},"
+                f"{float(r.test_accuracy)!r}"
             )
         return "\n".join(lines) + "\n"
 

@@ -25,6 +25,7 @@ from .translations import (
     KernelPlacement,
     ZERO_SCORE,
     _seq_key,
+    check_weights,
     find_local_translation,
 )
 
@@ -127,24 +128,36 @@ def resolve_workers(requested: int | None = None) -> int:
 
 @lru_cache(maxsize=1 << 18)
 def _cached_translation(
-    g: Graph, center: int, slots: tuple[int | None, ...], target: int, alpha: float, beta: float
-) -> tuple[tuple[int | None, ...], DeformationScore]:
+    g: Graph,
+    center: int,
+    slots: tuple[int | None, ...],
+    target: int,
+    alpha: float,
+    beta: float,
+    budget: float,
+) -> tuple[tuple[int | None, ...], DeformationScore] | None:
     # pure function of its arguments; caching makes repeated runs (multiple
-    # worker configurations, refinement passes) nearly free
+    # worker configurations) nearly free. The budget is part of the key
+    # because a miss under one budget says nothing about another.
     source = KernelPlacement(center=center, slots=slots, accumulated=ZERO_SCORE)
-    t, step_score = find_local_translation(g, source, target, alpha, beta)
+    found = find_local_translation(g, source, target, alpha, beta, budget)
+    if found is None:
+        return None
+    t, step_score = found
     mapping = t.mapping()
     new_slots = tuple(None if v is None else mapping[v] for v in slots)
     return new_slots, step_score
 
 
 def _step(
-    g: Graph, source: KernelPlacement, target: int, alpha: float, beta: float
-) -> KernelPlacement:
-    """Apply the best local translation of ``source`` onto ``target``."""
-    new_slots, step_score = _cached_translation(
-        g, source.center, source.slots, target, alpha, beta
-    )
+    g: Graph, source: KernelPlacement, target: int, alpha: float, beta: float, budget: float
+) -> KernelPlacement | None:
+    """Apply the best local translation of ``source`` onto ``target``, or
+    return ``None`` if every translation scores above ``budget``."""
+    found = _cached_translation(g, source.center, source.slots, target, alpha, beta, budget)
+    if found is None:
+        return None
+    new_slots, step_score = found
     return KernelPlacement(
         center=target, slots=new_slots, accumulated=source.accumulated + step_score
     )
@@ -180,6 +193,7 @@ def refine(g: Graph, pm: PlacementMap, workers: int | None = None) -> PlacementM
 
 
 def _settle(g: Graph, pm: PlacementMap, workers: int | None) -> None:
+    check_weights(pm.alpha, pm.beta)
     nworkers = resolve_workers(workers)
     best = pm.placements
     heap: list[tuple] = []
@@ -196,26 +210,38 @@ def _settle(g: Graph, pm: PlacementMap, workers: int | None) -> None:
             # a step only adds deformation and never resurrects lost slots,
             # so some incumbents are unbeatable from here without searching
             acc = placement.accumulated
-            targets = []
+            targets = []  # (target, budget)
             for t in g.neighbors(u):
                 inc = best.get(t)
-                if inc is not None:
-                    if inc.accumulated.total < acc.total:
-                        continue
-                    if (
-                        inc.accumulated.total == acc.total
-                        and inc.accumulated.losses < placement.loss_count
-                    ):
-                        continue
-                targets.append(t)
+                if inc is None:
+                    targets.append((t, math.inf))
+                    continue
+                if inc.accumulated.total < acc.total:
+                    continue
+                if (
+                    inc.accumulated.total == acc.total
+                    and inc.accumulated.losses < placement.loss_count
+                ):
+                    continue
+                # a candidate wins only if acc + step <= incumbent, so a step
+                # above the difference cannot win. The difference and that sum
+                # are both rounded; the slack absorbs it, and the key
+                # comparison below still decides exactly.
+                total = inc.accumulated.total
+                targets.append((t, total - acc.total + 1e-9 * max(1.0, total)))
             if pool is not None:
                 results = list(
-                    pool.map(lambda t: _step(g, placement, t, pm.alpha, pm.beta), targets)
+                    pool.map(
+                        lambda tb: _step(g, placement, tb[0], pm.alpha, pm.beta, tb[1]),
+                        targets,
+                    )
                 )
             else:
-                results = [_step(g, placement, t, pm.alpha, pm.beta) for t in targets]
+                results = [_step(g, placement, t, pm.alpha, pm.beta, b) for t, b in targets]
             # the relax step is a serial, deterministic reduction
             for candidate in results:
+                if candidate is None:
+                    continue  # no translation fits the incumbent's budget
                 t = candidate.center
                 incumbent = best.get(t)
                 if incumbent is None or _placement_key(candidate) < _placement_key(incumbent):

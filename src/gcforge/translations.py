@@ -17,6 +17,7 @@ map that sends the kernel center onto a chosen neighbor.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -156,12 +157,19 @@ def snp_violations(g: Graph, t: Translation) -> int:
     return count
 
 
+def check_weights(alpha: float, beta: float) -> None:
+    """Reject deformation weights that are negative or not finite."""
+    if not (math.isfinite(alpha) and math.isfinite(beta)) or alpha < 0 or beta < 0:
+        raise TranslationError(
+            f"alpha and beta must be finite and nonnegative, got {alpha!r} and {beta!r}"
+        )
+
+
 def deformation_score(
     g: Graph, t: Translation, alpha: float = 1.0, beta: float = 1.0
 ) -> DeformationScore:
     """Score a translation: ``alpha`` per loss, ``beta`` per broken pair."""
-    if alpha < 0 or beta < 0:
-        raise TranslationError("alpha and beta must be nonnegative")
+    check_weights(alpha, beta)
     losses = sum(1 for w in t.images if w is None)
     return DeformationScore.of(losses, snp_violations(g, t), alpha, beta)
 
@@ -202,7 +210,8 @@ def find_local_translation(
     target: int,
     alpha: float = 1.0,
     beta: float = 1.0,
-) -> tuple[Translation, DeformationScore]:
+    budget: float = math.inf,
+) -> tuple[Translation, DeformationScore] | None:
     """Cheapest translation of a kernel placement onto a neighboring center.
 
     The domain is the placement's surviving slot vertices. Hard constraints:
@@ -222,9 +231,17 @@ def find_local_translation(
     2. fewest losses,
     3. lexicographically smallest image sequence in slot order, lost slots
        ordering after all vertex ids.
+
+    ``budget`` caps the score of interest: the search prunes every branch
+    whose bound is strictly above it and returns ``None`` when no map
+    scores ``<= budget``. A map that fits is the same one an unbounded
+    search returns, ties included, so the result is unchanged whenever it
+    is not ``None``. The default (infinity) always finds a map, because
+    losing every slot but the center is always feasible.
     """
-    if alpha < 0 or beta < 0:
-        raise TranslationError("alpha and beta must be nonnegative")
+    check_weights(alpha, beta)
+    if math.isnan(budget):
+        raise TranslationError("budget must not be nan")
     center = placement.center
     if not g.has_edge(center, target):
         raise AdjacencyError(f"target {target} is not adjacent to center {center}")
@@ -232,14 +249,13 @@ def find_local_translation(
     live = placement.live_slots()
     verts = [v for _, v in live]  # slot order; verts[0] == center
     m = len(verts)
-    n = g.n
-    lost = n  # sentinel image; conveniently orders after every vertex id
+    lost = g.n  # sentinel image; conveniently orders after every vertex id
     delta = target - center
-    masks = [g.neighbor_mask(v) for v in verts]
-    nbr = [g.neighbor_mask(v) for v in range(n)]
+    nbr = g.neighbor_masks
+    masks = [nbr[v] for v in verts]
 
     INF = float("inf")
-    best_prefix = [INF, INF, INF]  # (total, non-shifted slots, losses)
+    best_prefix = [budget, INF, INF]  # (total, non-shifted slots, losses)
     best_key: tuple | None = None  # (total, non_shift, losses, image seq)
     best_images: list[int] | None = None
     best_violations = 0
@@ -399,7 +415,8 @@ def find_local_translation(
                 images[j] = -1
 
     search(list(range(1, m)), 1 << target, 0, 0, 0)
-    assert best_images is not None  # all-lost-but-center is always feasible
+    if best_images is None:
+        return None
 
     order = sorted(range(m), key=lambda i: verts[i])
     domain = tuple(verts[i] for i in order)

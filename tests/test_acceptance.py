@@ -31,13 +31,7 @@ from gcforge.propagation import (
 from gcforge.translations import enumerate_translations_bruteforce, find_local_translation
 from gcforge import net
 
-from conftest import (
-    complete_graph,
-    connected_er_graphs,
-    cycle_graph,
-    path_graph,
-    star_graph,
-)
+from conftest import connected_er_graphs, oracle_family, oracle_placements, path_graph
 
 
 def criterion(number: int, title: str):
@@ -81,31 +75,12 @@ def test_grid_recovery():
     return f"36 grids in {elapsed:.2f}s"
 
 
-def _oracle_family():
-    graphs = []
-    for n in range(2, 8):
-        graphs.append(path_graph(n))
-    for n in range(3, 8):
-        graphs.append(cycle_graph(n))
-        graphs.append(star_graph(n))
-        graphs.append(complete_graph(n))
-    graphs.extend(connected_er_graphs(20, 7, 0.5, base_seed=7000))
-    return graphs
-
-
 @criterion(2, "oracle equivalence")
 def test_oracle_equivalence():
     t0 = time.perf_counter()
     pairs = 0
-    for g in _oracle_family():
-        placements = [init_kernel(g, v) for v in range(g.n)]
-        # degraded placements (with lost slots) from an actual propagation,
-        # except on the large complete graphs where they repeat the full
-        # kernels already checked
-        if is_connected(g) and not (len(g.edges) == g.n * (g.n - 1) // 2 and g.n >= 6):
-            pm = propagate(g, init_kernel(g, most_central_vertex(g)))
-            placements.extend(pm.placements[v] for v in sorted(pm.placements))
-        for p in placements:
+    for g in oracle_family():
+        for p in oracle_placements(g):
             domain = [s for s in p.slots if s is not None]
             for target in g.neighbors(p.center):
                 found_tr, found = find_local_translation(g, p, target)

@@ -84,6 +84,15 @@ class TestTranslate:
         assert code == 2
         assert "not connected" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, value", [("--alpha", "nan"), ("--beta", "inf")])
+    def test_non_finite_weight_exits_2(self, workdir, capsys, flag, value):
+        out = workdir / "p.txt"
+        code = run_cli("translate", "--graph", str(workdir / "path.edges"),
+                       flag, value, "--out", str(out))
+        assert code == 2
+        assert f"{flag} must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
 
 def _build_grid_artifacts(workdir):
     g_path = workdir / "grid.edges"

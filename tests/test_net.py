@@ -247,6 +247,17 @@ class TestTraining:
             )
         assert hists[0] == hists[1]
 
+    def test_metrics_csv_fields_parse_as_floats(self):
+        train_ds = self._separable_toy(seed=0)
+        model = build_conv_model(identity_scheme(8), hidden=8, classes=2, seed=0)
+        text = train(model, train_ds, train_ds, TrainConfig(lr=0.1, epochs=2, seed=0)).to_csv()
+        rows = [line.split(",") for line in text.splitlines()[1:]]
+        assert len(rows) == 2
+        for row in rows:
+            assert len(row) == 4
+            for value in row:
+                float(value)  # a numpy repr such as "np.float64(0.5)" raises here
+
     def test_divergence_names_epoch(self):
         # identical signals with contradictory labels keep the saturated
         # gradients alive, so an absurd learning rate overflows to NaN

@@ -1,10 +1,15 @@
 from __future__ import annotations
 
+import hashlib
+import math
+
 import pytest
 
+from gcforge import propagation
 from gcforge.graph import ConnectivityError, Graph, grid_graph, ParameterError
 from gcforge.propagation import (
     PlacementFormatError,
+    _cached_translation,
     closeness_centrality,
     init_kernel,
     most_central_vertex,
@@ -15,7 +20,7 @@ from gcforge.propagation import (
     resolve_workers,
     serialize_placements,
 )
-from gcforge.translations import KernelPlacement, ZERO_SCORE
+from gcforge.translations import KernelPlacement, TranslationError, ZERO_SCORE
 
 from conftest import connected_er_graphs, path_graph, star_graph
 
@@ -129,6 +134,11 @@ class TestPropagate:
         }
         assert texts[1] == texts[2] == texts[8]
 
+    @pytest.mark.parametrize("alpha, beta", [(math.nan, 1.0), (1.0, math.inf)])
+    def test_non_finite_weights_rejected(self, path3, alpha, beta):
+        with pytest.raises(TranslationError, match="finite"):
+            propagate(path3, init_kernel(path3, 1), alpha, beta)
+
     def test_gcf_threads_caps_workers(self, monkeypatch):
         monkeypatch.setenv("GCF_THREADS", "2")
         assert resolve_workers(8) == 2
@@ -200,3 +210,60 @@ class TestSerialization:
     def test_empty_input(self):
         with pytest.raises(PlacementFormatError, match="header"):
             parse_placements("# just a comment\n")
+
+
+# SHA-256 of serialize_placements on the first three acceptance-3 graphs,
+# recorded while every search still ran unbounded. A budget that rounds
+# the wrong way drops winners under the fractional weights.
+ER_REFERENCE = {
+    (1.0, 1.0): (
+        "74cec13bdc3e19464c0efeccfe1d6c35d470b9aaeea04f2aa18b45462cc62db2",
+        "5876d06844bf1bc9b32f67408c10f1a7e7b36dde5000b9754b2581d69b037a14",
+        "e3d9a19b59b93b17401a725e85821afb1eaa6cef40500826f616586e1153c54d",
+    ),
+    (0.3, 0.7): (
+        "2af7cf62d02e54b38a240344db49689277ab2b430d6580ad62e4918e67511835",
+        "bf3fbe47be370e0c5c0bf5553f71d3943a10dea716334e642d9848e6ac40d9a0",
+        "59d462c22e6cb6e7d4c1cbf0cfe59689a41d1e0e0121eecb8c45ec504617452f",
+    ),
+    (0.1, 0.2): (
+        "2d5aa9ebe10704b4557e7e717e52345f7878cbb3d0f83ed62b7ca48a5d1e8bb7",
+        "a5e68ce23577fbd76a7e21f4e8dc946eb2b8d365d93aea93104e42cf61cdba9c",
+        "0700f914fdca8afda62de504063f32b87635ad48b85d4871360eadb360a50a1b",
+    ),
+    (2.5, 0.3): (
+        "99a6dbcfd995d340ad507dfdce3d0d120d80cc02fb96c842c5fecd345c8e6ec8",
+        "5eb2e125ca9641f9307a9d63e9b4709989a0fd4e87b6527690cf8b585f300919",
+        "518590390045e1901672ce7993f00a71f269de9633ad2df1e8c3262567ccb175",
+    ),
+}
+
+
+def _placements_sha(g, alpha=1.0, beta=1.0):
+    pm = propagate(g, init_kernel(g, most_central_vertex(g)), alpha, beta)
+    return hashlib.sha256(serialize_placements(pm).encode("utf-8")).hexdigest()
+
+
+class TestBudgetedSearch:
+    @pytest.mark.parametrize("alpha, beta", sorted(ER_REFERENCE))
+    def test_placements_match_unbounded_reference(self, alpha, beta):
+        _cached_translation.cache_clear()  # search cold, not from the memo
+        graphs = connected_er_graphs(3, 50, 0.1, base_seed=9000)
+        got = tuple(_placements_sha(g, alpha, beta) for g in graphs)
+        assert got == ER_REFERENCE[(alpha, beta)]
+
+    def test_budget_prunes_without_changing_the_map(self, monkeypatch):
+        outcomes = []
+        search = propagation.find_local_translation
+
+        def counting(*args, **kwargs):
+            found = search(*args, **kwargs)
+            outcomes.append(found is None)
+            return found
+
+        monkeypatch.setattr(propagation, "find_local_translation", counting)
+        _cached_translation.cache_clear()
+        g = connected_er_graphs(1, 50, 0.1, base_seed=9000)[0]
+        assert _placements_sha(g) == ER_REFERENCE[(1.0, 1.0)][0]
+        assert any(outcomes), "no search was cut off by its budget"
+        assert not all(outcomes)

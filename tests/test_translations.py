@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 import random
 
 import pytest
@@ -22,7 +23,15 @@ from gcforge.translations import (
     snp_violations,
 )
 
-from conftest import complete_graph, cycle_graph, er_graph, path_graph, star_graph
+from conftest import (
+    complete_graph,
+    cycle_graph,
+    er_graph,
+    oracle_family,
+    oracle_placements,
+    path_graph,
+    star_graph,
+)
 
 
 def t(domain, images):
@@ -116,6 +125,11 @@ class TestDeformationScore:
         with pytest.raises(TranslationError):
             deformation_score(path3, t([0], [1]), alpha=-1.0)
 
+    @pytest.mark.parametrize("alpha, beta", [(math.nan, 1.0), (1.0, math.inf)])
+    def test_non_finite_weights_rejected(self, path3, alpha, beta):
+        with pytest.raises(TranslationError, match="finite"):
+            deformation_score(path3, t([0], [1]), alpha=alpha, beta=beta)
+
     def test_scores_add_componentwise(self):
         a = DeformationScore(1, 2, 3.0)
         b = DeformationScore(0, 1, 1.0)
@@ -161,6 +175,31 @@ class TestFindLocalTranslation:
         tr, score = find_local_translation(g, p, 4)
         assert tr.mapping() == {5: 4, 1: 0, 4: None, 6: 5, 9: 8}
         assert score.total == 1.0
+
+    @pytest.mark.parametrize("alpha, beta", [(math.inf, 1.0), (1.0, math.nan)])
+    def test_non_finite_weights_rejected(self, path3, alpha, beta):
+        with pytest.raises(TranslationError, match="finite"):
+            find_local_translation(path3, placement(1, [1, 0, 2]), 0, alpha, beta)
+
+    def test_nan_budget_rejected(self, path3):
+        with pytest.raises(TranslationError, match="budget"):
+            find_local_translation(path3, placement(1, [1, 0, 2]), 0, budget=math.nan)
+
+    def test_budget_keeps_the_result_or_returns_none(self):
+        # on the acceptance-2 oracle family: a budget equal to the best
+        # score still finds the same map, and one just below it finds none
+        pairs = 0
+        for g in oracle_family():
+            for p in oracle_placements(g):
+                for target in g.neighbors(p.center):
+                    found = find_local_translation(g, p, target)
+                    total = found[1].total
+                    assert find_local_translation(g, p, target, budget=total) == found
+                    assert find_local_translation(g, p, target, budget=total + 1.0) == found
+                    below = math.nextafter(total, -math.inf)
+                    assert find_local_translation(g, p, target, budget=below) is None
+                    pairs += 1
+        assert pairs > 1000
 
     def test_target_must_be_adjacent(self, path3):
         with pytest.raises(AdjacencyError):
