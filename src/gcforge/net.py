@@ -1,13 +1,15 @@
 """A small feedforward stack driven by a weight-sharing scheme.
 
-The convolution applies K shared weights over the scheme's wiring:
+The convolution applies K shared weights through the scheme's n x K gather
+table, ``table[v, i]`` being the input that slot ``i`` of the kernel at ``v``
+reads:
 
-    y[c, out] = bias[c] + sum over triples (out, in, i) of weights[c, i] * x[in]
+    y[b, c, v] = bias[c] + sum over i of weights[c, i] * x[b, table[v, i]]
 
-so the trainable parameter count of one channel is K + 1 no matter how many
-vertices the graph has. Everything runs in float64 numpy with explicit
-forward/backward passes and plain minibatch SGD on softmax cross-entropy;
-training is deterministic given its seed.
+where a lost slot reads 0. The trainable parameter count of one channel is
+K + 1 no matter how many vertices the graph has. Everything runs in float64
+numpy with explicit forward/backward passes and plain minibatch SGD on
+softmax cross-entropy; training is deterministic given its seed.
 """
 
 from __future__ import annotations
@@ -57,6 +59,8 @@ class Dataset:
             raise NetError(f"signals must be 2-D, got shape {self.signals.shape}")
         if self.labels.shape != (self.signals.shape[0],):
             raise NetError("row count must equal label count")
+        if np.any(self.labels < 0):
+            raise NetError(f"labels must be nonnegative, got {int(self.labels.min())}")
 
     def __len__(self) -> int:
         return self.signals.shape[0]
@@ -119,6 +123,8 @@ def dataset_from_csv(text: str, expect_n: int | None = None) -> Dataset:
             labels.append(int(fields[-1]))
         except ValueError:
             raise DatasetFormatError(f"non-numeric field in {line!r}", line_no) from None
+        if labels[-1] < 0:
+            raise DatasetFormatError(f"label must be nonnegative, got {labels[-1]}", line_no)
     if not rows:
         raise DatasetFormatError("no data rows found")
     ds = Dataset(np.array(rows), np.array(labels))
@@ -144,16 +150,16 @@ class ConvLayer:
         self.channels = channels
         self.n = scheme.n
         self.k = scheme.k
-        trip = np.array(scheme.triples, dtype=np.int64).reshape(-1, 3)
-        self.outs = trip[:, 0]
-        self.ins = trip[:, 1]
-        self.idxs = trip[:, 2]
+        # table[out, idx] = in; a lost slot reads the zero column at index n
+        trip = np.array(scheme.triples, dtype=np.intp).reshape(-1, 3)
+        self.table = np.full((self.n, self.k), self.n, dtype=np.intp)
+        self.table[trip[:, 0], trip[:, 2]] = trip[:, 1]
         if rng is None:
             rng = np.random.default_rng(0)
         self.weights = rng.standard_normal((channels, self.k)) / np.sqrt(self.k)
         self.bias = np.zeros(channels)
         self.grads: dict[str, np.ndarray] = {}
-        self._x: np.ndarray | None = None
+        self._g: np.ndarray | None = None
 
     def parameters(self):
         return [("weights", self.weights), ("bias", self.bias)]
@@ -168,34 +174,29 @@ class ConvLayer:
             x = x[None, :]
         if x.shape[1] != self.n:
             raise NetError(f"expected {self.n} vertex values, got {x.shape[1]}")
-        self._x = x
-        gathered = x[:, self.ins]  # (B, T)
-        y = np.zeros((x.shape[0], self.channels, self.n))
-        for c in range(self.channels):
-            contrib = gathered * self.weights[c, self.idxs]
-            np.add.at(y[:, c, :], (slice(None), self.outs), contrib)
-            y[:, c, :] += self.bias[c]
+        padded = np.concatenate([x, np.zeros((x.shape[0], 1))], axis=1)
+        # take() returns a C-contiguous (B, n, K); padded[:, table] puts the
+        # batch axis innermost, which makes the matmul below several times slower
+        self._g = padded.take(self.table, axis=1)
+        y = self.weights @ self._g.transpose(0, 2, 1)  # (B, C, n)
+        y += self.bias[:, None]
         return y[0] if squeeze else y
 
     def backward(self, gout: np.ndarray) -> np.ndarray:
-        x = self._x
+        g = self._g
         gout = np.asarray(gout, dtype=np.float64)
         if gout.ndim == 2:
             gout = gout[None, :, :]
-        gw = np.zeros_like(self.weights)
-        gb = np.zeros_like(self.bias)
-        gx = np.zeros_like(x)
-        gathered = x[:, self.ins]  # (B, T)
-        for c in range(self.channels):
-            gc = gout[:, c, :]  # (B, n)
-            per_triple = (gc[:, self.outs] * gathered).sum(axis=0)  # (T,)
-            gw[c] = np.bincount(self.idxs, weights=per_triple, minlength=self.k)
-            gb[c] = gc.sum()
-            np.add.at(
-                gx, (slice(None), self.ins), gc[:, self.outs] * self.weights[c, self.idxs]
-            )
+        b, n = g.shape[0], self.n
+        gw = (gout @ g).sum(axis=0)
+        gb = gout.sum(axis=(0, 2))
+        per_slot = gout.transpose(0, 2, 1) @ self.weights  # (B, n, K)
+        # one bincount over every (row, slot) pair; row b owns bins
+        # b*(n+1) .. b*(n+1)+n, the last of them the lost-slot sentinel
+        bins = np.arange(b)[:, None, None] * (n + 1) + self.table
+        gx = np.bincount(bins.ravel(), weights=per_slot.ravel(), minlength=b * (n + 1))
         self.grads = {"weights": gw, "bias": gb}
-        return gx
+        return gx.reshape(b, n + 1)[:, :n]
 
 
 class ReLU:

@@ -40,33 +40,49 @@ class PlacementFormatError(Exception):
         super().__init__(message)
 
 
+def _distance_sums(g: Graph) -> list[int]:
+    """Each vertex's summed hop distance to all others.
+
+    All n breadth-first searches run at once, bit-parallel (Then et al.,
+    PVLDB 2014): bit s of ``reach[v]`` says source s has reached v. Hop
+    distance is symmetric, so summing ``d`` over the sources that first reach
+    ``v`` at level ``d`` gives ``v``'s own distance sum.
+    """
+    adj = [g.neighbors(v) for v in range(g.n)]
+    reach = [1 << v for v in range(g.n)]
+    frontier = list(reach)
+    sums = [0] * g.n
+    d = 0
+    while any(frontier):
+        d += 1
+        nxt = []
+        for v, nbrs in enumerate(adj):
+            seen = 0
+            for u in nbrs:
+                seen |= frontier[u]
+            new = seen & ~reach[v]
+            reach[v] |= new
+            sums[v] += d * new.bit_count()
+            nxt.append(new)
+        frontier = nxt
+    if reach.count((1 << g.n) - 1) != g.n:
+        raise ConnectivityError("centrality needs a connected graph")
+    return sums
+
+
 def closeness_centrality(g: Graph) -> list[float]:
     """Inverse of each vertex's summed hop distance to all others."""
     if g.n == 0:
         raise ParameterError("empty graph has no centrality")
-    if not is_connected(g):
-        raise ConnectivityError("closeness centrality needs a connected graph")
-    if g.n == 1:
-        return [math.inf]
-    out = []
-    for v in range(g.n):
-        out.append(1.0 / sum(bfs_distances(g, v)))
-    return out
+    sums = _distance_sums(g)
+    return [math.inf] if g.n == 1 else [1.0 / s for s in sums]
 
 
 def most_central_vertex(g: Graph) -> int:
     """Vertex with the highest closeness; ties go to the smallest id."""
-    if not is_connected(g):
-        raise ConnectivityError("most central vertex needs a connected graph")
-    if g.n == 1:
-        return 0
-    # compare integer distance sums to dodge float equality
-    best_v, best_sum = 0, None
-    for v in range(g.n):
-        s = sum(bfs_distances(g, v))
-        if best_sum is None or s < best_sum:
-            best_v, best_sum = v, s
-    return best_v
+    sums = _distance_sums(g)
+    # integer sums dodge float equality; min keeps the smallest tied id
+    return min(range(g.n), key=sums.__getitem__, default=0)
 
 
 def init_kernel(g: Graph, center: int, radius: int = 1) -> KernelPlacement:
@@ -333,6 +349,8 @@ def parse_placements(text: str) -> PlacementMap:
                 alpha, beta = float(parts[3]), float(parts[4])
             except ValueError:
                 raise PlacementFormatError(f"non-numeric header field in {line!r}", line_no) from None
+            if not (math.isfinite(alpha) and math.isfinite(beta)):
+                raise PlacementFormatError(f"alpha and beta must be finite: {line!r}", line_no)
             if n < 0 or k < 1 or not (0 <= seed < max(n, 1)):
                 raise PlacementFormatError(f"header values out of range: {line!r}", line_no)
             pm = PlacementMap(n=n, k=k, seed=seed, alpha=alpha, beta=beta)
@@ -348,6 +366,8 @@ def parse_placements(text: str) -> PlacementMap:
             total = float(parts[1])
         except ValueError:
             raise PlacementFormatError(f"non-numeric center or score in {line!r}", line_no) from None
+        if not math.isfinite(total):
+            raise PlacementFormatError(f"score must be finite, got {parts[1]!r}", line_no)
         if not (0 <= center < pm.n):
             raise PlacementFormatError(f"center {center} out of range", line_no)
         if center in pm.placements:

@@ -153,6 +153,28 @@ class TestBuildLayerAndVerify:
         assert code == 2
         assert "line 2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("header", ["3 3 1 nan 1.0", "3 3 1 1.0 inf", "3 3 1 -inf 1.0"])
+    def test_non_finite_header_weight_exits_2(self, workdir, capsys, header):
+        bad = workdir / "bad.placements"
+        bad.write_text(
+            f"{header}\n0; 2.0; slot0=0,slot1=1,slot2=⊥\n", encoding="utf-8"
+        )
+        code = run_cli("build-layer", "--placements", str(bad), "--out", str(workdir / "s"))
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: line 1: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("score", ["nan", "inf"])
+    def test_non_finite_score_exits_2(self, workdir, capsys, score):
+        bad = workdir / "bad.placements"
+        bad.write_text(
+            f"3 3 1 1.0 1.0\n0; {score}; slot0=0,slot1=1,slot2=2\n", encoding="utf-8"
+        )
+        code = run_cli("build-layer", "--placements", str(bad), "--out", str(workdir / "s"))
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: line 2: ") and err.count("\n") == 1
+
 
 class TestTrainCommand:
     def _make_data(self, workdir, g_path, p_path):
@@ -239,6 +261,22 @@ class TestTrainCommand:
         )
         assert code == 2
         assert "label" in capsys.readouterr().err
+
+    def test_negative_label_exits_2(self, workdir, capsys):
+        _, _, s_path = _build_grid_artifacts(workdir)
+        bad = workdir / "bad.csv"
+        header = ",".join(f"x{i}" for i in range(25)) + ",label"
+        rows = [",".join(["0.0"] * 25) + f",{label}" for label in (1, 0, -1)]
+        bad.write_text("\n".join([header] + rows) + "\n", encoding="utf-8")
+        code = run_cli(
+            "train", "--scheme", str(s_path),
+            "--train-data", str(bad), "--test-data", str(bad),
+            "--metrics-out", str(workdir / "m.csv"),
+        )
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == "error: line 4: label must be nonnegative, got -1\n"
+        assert not (workdir / "m.csv").exists()
 
 
 class TestEntryPoint:

@@ -29,7 +29,7 @@ from gcforge.net import (
     train,
 )
 
-from conftest import path_graph
+from conftest import connected_er_graphs, path_graph
 
 
 @pytest.fixture(scope="module")
@@ -43,6 +43,13 @@ def grid_setup_8x8():
     g = grid_graph(8, 8)
     pm = propagate(g, init_kernel(g, most_central_vertex(g)))
     return g, pm, build_scheme(pm)
+
+
+@pytest.fixture(scope="module")
+def lossy_er_scheme():
+    # acceptance-3 ER graph 0: K = 11 with many lost slots
+    g = connected_er_graphs(1, 50, 0.1, base_seed=9000)[0]
+    return build_scheme(propagate(g, init_kernel(g, most_central_vertex(g))))
 
 
 def identity_scheme(n):
@@ -178,6 +185,68 @@ class TestGradients:
             for name, arr in layer.parameters():
                 fd = fd_gradient(loss_fn, arr)
                 assert rel_err(layer.grads[name], fd) <= 1e-4
+
+
+def reference_conv(scheme, weights, bias, x, gout):
+    """Forward output and gradients from a plain loop over the triples."""
+    channels = weights.shape[0]
+    y = np.zeros((x.shape[0], channels, scheme.n)) + bias[None, :, None]
+    gw = np.zeros_like(weights)
+    gx = np.zeros_like(x)
+    for out, inp, i in scheme.triples:
+        for c in range(channels):
+            y[:, c, out] += weights[c, i] * x[:, inp]
+            gw[c, i] += np.dot(gout[:, c, out], x[:, inp])
+            gx[:, inp] += gout[:, c, out] * weights[c, i]
+    return y, gw, gout.sum(axis=(0, 2)), gx
+
+
+class TestGatherTable:
+    @pytest.mark.parametrize("batch,channels", [(1, 1), (7, 1), (7, 3)])
+    @pytest.mark.parametrize("which", ["lossy_er_scheme", "grid_setup_8x8"])
+    def test_matches_triple_loop(self, request, which, batch, channels):
+        fixture = request.getfixturevalue(which)
+        scheme = fixture[2] if which == "grid_setup_8x8" else fixture
+        rng = np.random.default_rng(batch * 10 + channels)
+        layer = ConvLayer(scheme, channels=channels, rng=rng)
+        layer.bias[:] = rng.standard_normal(channels)
+        x = rng.standard_normal((batch, scheme.n))
+        gout = rng.standard_normal((batch, channels, scheme.n))
+        y_ref, gw_ref, gb_ref, gx_ref = reference_conv(
+            scheme, layer.weights, layer.bias, x, gout
+        )
+        if batch == 1:  # 1-D input and (C, n) upstream gradient
+            y = layer.forward(x[0])[None]
+            gx = layer.backward(gout[0])
+        else:
+            y = layer.forward(x)
+            gx = layer.backward(gout)
+        assert y.shape == (batch, channels, scheme.n)
+        assert gx.shape == (batch, scheme.n)
+        assert np.max(np.abs(y - y_ref)) <= 1e-12
+        assert np.max(np.abs(layer.grads["weights"] - gw_ref)) <= 1e-12
+        assert np.max(np.abs(layer.grads["bias"] - gb_ref)) <= 1e-12
+        assert np.max(np.abs(gx - gx_ref)) <= 1e-12
+
+    def test_lost_slots_send_no_gradient(self, lossy_er_scheme):
+        # upstream gradient at one output with lost slots only: every input
+        # its surviving slots do not read, vertex 0 of the next batch row
+        # included, must get exactly zero
+        s = lossy_er_scheme
+        assert s.k >= 11 and len(s.triples) < s.n * s.k - 100  # many lost slots
+        layer = ConvLayer(s, channels=2, rng=np.random.default_rng(3))
+        reads = {v: {inp for _, inp, _ in s.in_edges(v)} for v in range(s.n)}
+        out = next(v for v in range(s.n) if len(reads[v]) < s.k and 0 not in reads[v])
+        read = reads[out]
+        x = np.random.default_rng(4).standard_normal((7, s.n))
+        gout = np.zeros((7, 2, s.n))
+        gout[:, :, out] = 1.0
+        layer.forward(x)
+        gx = layer.backward(gout)
+        unread = [w for w in range(s.n) if w not in read]
+        assert 0 in unread
+        assert np.all(gx[:, unread] == 0.0)
+        assert np.all(gx[:, sorted(read)] != 0.0)
 
 
 class TestDropout:
@@ -369,6 +438,14 @@ class TestDatasetCsv:
     def test_width_mismatch_rejected(self):
         with pytest.raises(DatasetFormatError, match="signal columns"):
             dataset_from_csv("x0,x1,label\n0.0,0.0,1\n", expect_n=5)
+
+    def test_negative_label_rejected_with_line(self):
+        with pytest.raises(DatasetFormatError, match="line 3: label must be nonnegative"):
+            dataset_from_csv("x0,x1,label\n0.0,0.0,1\n0.5,0.0,-1\n")
+
+    def test_dataset_rejects_negative_label(self):
+        with pytest.raises(NetError, match="nonnegative"):
+            Dataset(np.zeros((2, 3)), np.array([0, -1]))
 
 
 class TestModelPlumbing:

@@ -3,13 +3,23 @@ from __future__ import annotations
 import hashlib
 import math
 
+import numpy as np
 import pytest
 
 from gcforge import propagation
-from gcforge.graph import ConnectivityError, Graph, grid_graph, ParameterError
+from gcforge.graph import (
+    ConnectivityError,
+    CoordinateSet,
+    Graph,
+    ParameterError,
+    bfs_distances,
+    grid_graph,
+    infer_knn_graph,
+)
 from gcforge.propagation import (
     PlacementFormatError,
     _cached_translation,
+    _distance_sums,
     closeness_centrality,
     init_kernel,
     most_central_vertex,
@@ -51,6 +61,39 @@ class TestCentrality:
     def test_most_central_star_with_late_center(self):
         g = Graph(4, [(3, 0), (3, 1), (3, 2)])
         assert most_central_vertex(g) == 3
+
+
+def _centrality_graphs():
+    cloud = np.random.default_rng(42).random((64, 2))
+    return {
+        "grid1x1": grid_graph(1, 1),
+        "grid1x2": grid_graph(1, 2),
+        "grid5x7": grid_graph(5, 7),
+        "path9": path_graph(9),
+        "er0": connected_er_graphs(1, 50, 0.1, base_seed=9000)[0],
+        "knn64": infer_knn_graph(CoordinateSet(cloud), 6),
+    }
+
+
+CENTRALITY_GRAPHS = _centrality_graphs()
+
+
+class TestBitParallelDistanceSums:
+    @pytest.mark.parametrize("name", list(CENTRALITY_GRAPHS))
+    def test_sums_match_one_bfs_per_vertex(self, name):
+        g = CENTRALITY_GRAPHS[name]
+        assert _distance_sums(g) == [sum(bfs_distances(g, v)) for v in range(g.n)]
+
+    @pytest.mark.parametrize("name", list(CENTRALITY_GRAPHS)[1:])
+    def test_closeness_bitwise_unchanged(self, name):
+        g = CENTRALITY_GRAPHS[name]
+        sums = [sum(bfs_distances(g, v)) for v in range(g.n)]
+        assert closeness_centrality(g) == [1.0 / s for s in sums]
+        assert most_central_vertex(g) == sums.index(min(sums))
+
+    def test_most_central_rejects_disconnected(self):
+        with pytest.raises(ConnectivityError):
+            most_central_vertex(Graph(4, [(0, 1), (2, 3)]))
 
 
 class TestInitKernel:
