@@ -15,7 +15,9 @@ from pathlib import Path
 
 from . import net
 from .graph import (
+    Graph,
     GraphError,
+    bfs_distances,
     dump_edge_list,
     infer_knn_graph,
     is_connected,
@@ -25,13 +27,13 @@ from .graph import (
 from .layer import (
     SchemeError,
     build_scheme,
-    check_scheme_against_graph,
     export_scheme,
     import_scheme,
     verify_grid_equivalence,
 )
 from .propagation import (
     PlacementFormatError,
+    PlacementMap,
     init_kernel,
     most_central_vertex,
     parse_placements,
@@ -61,7 +63,7 @@ class RunConfig:
                 raise UsageError(f"input file not found: {p}")
         for name, lo in (("k", 1), ("radius", 0), ("epochs", 0), ("batch", 1),
                          ("classes", 2), ("samples_per_class", 1), ("hidden", 1),
-                         ("channels", 1), ("workers", 1)):
+                         ("channels", 1)):
             v = getattr(args, name, None)
             if v is not None and v < lo:
                 raise UsageError(f"--{name.replace('_', '-')} must be >= {lo}, got {v}")
@@ -79,7 +81,12 @@ class RunConfig:
 
 
 def _read(path: str) -> str:
-    return Path(path).read_text(encoding="utf-8")
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+    except OSError as exc:
+        raise UsageError(f"{path}: {exc.strerror or exc}") from None
 
 
 def _write(path: str, text: str) -> None:
@@ -102,7 +109,7 @@ def cmd_translate(args) -> int:
     if not (0 <= seed < g.n):
         raise UsageError(f"--seed-vertex {seed} out of range 0..{g.n - 1}")
     kernel = init_kernel(g, seed, radius=args.radius)
-    pm = propagate(g, kernel, alpha=args.alpha, beta=args.beta, workers=args.workers)
+    pm = propagate(g, kernel, alpha=args.alpha, beta=args.beta)
     _write(args.out, serialize_placements(pm))
     report = placement_report(pm)
     print(f"wrote {args.out}: seed vertex {seed}, kernel size {pm.k}")
@@ -126,11 +133,29 @@ def cmd_verify_grid(args) -> int:
     return 0 if report.passed else 1
 
 
+def _check_seed_kernel(g: Graph, pm: PlacementMap) -> None:
+    """Propagation never replaces the seed's fresh kernel, so a map built on
+    ``g`` holds ``init_kernel(g, seed, r)`` at its seed, for the smallest
+    radius ``r`` whose ball has K vertices."""
+    dist = bfs_distances(g, pm.seed)
+    size = 0
+    for r in range(g.n):
+        size += dist.count(r)
+        if size >= pm.k:
+            break
+    if size != pm.k or pm.placements.get(pm.seed) != init_kernel(g, pm.seed, r):
+        raise UsageError(
+            f"placements do not come from this graph: vertex {pm.seed} does not hold "
+            f"the fresh {pm.k}-slot kernel"
+        )
+
+
 def cmd_make_dataset(args) -> int:
     g = load_edge_list(_read(args.graph))
     pm = parse_placements(_read(args.placements))
     if pm.n != g.n:
         raise UsageError(f"placements cover n={pm.n} but graph has n={g.n}")
+    _check_seed_kernel(g, pm)
     # templates are seeded separately so train and test splits (different
     # --seed) still describe the same classes
     templates = net.make_templates(
@@ -146,9 +171,6 @@ def cmd_make_dataset(args) -> int:
 
 def cmd_train(args) -> int:
     scheme = import_scheme(_read(args.scheme))
-    if args.graph is not None:
-        g = load_edge_list(_read(args.graph))
-        check_scheme_against_graph(scheme, g)
     train_ds = net.dataset_from_csv(_read(args.train_data), expect_n=scheme.n)
     test_ds = net.dataset_from_csv(_read(args.test_data), expect_n=scheme.n)
     classes = int(max(train_ds.labels.max(), test_ds.labels.max())) + 1
@@ -197,8 +219,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beta", type=float, default=1.0, help="cost per broken pair (default 1)")
     p.add_argument("--seed-vertex", type=int, default=None,
                    help="override the centrality-chosen seed vertex")
-    p.add_argument("--workers", type=int, default=1,
-                   help="frontier evaluation workers (GCF_THREADS caps this)")
     p.add_argument("--out", required=True, help="placement-map output path")
     p.set_defaults(func=cmd_translate)
 
@@ -230,7 +250,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="train the conv model on dataset files")
     p.add_argument("--scheme", required=True, help="scheme input path")
-    p.add_argument("--graph", default=None, help="optional edge list to validate the scheme")
     p.add_argument("--train-data", required=True, help="training dataset CSV")
     p.add_argument("--test-data", required=True, help="test dataset CSV")
     p.add_argument("--lr", type=float, default=0.1)

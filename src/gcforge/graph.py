@@ -53,7 +53,7 @@ class Graph:
     duplicate undirected edges.
     """
 
-    __slots__ = ("n", "edges", "_adj", "_masks", "_hash")
+    __slots__ = ("n", "edges", "_adj", "_masks")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         if n < 0:
@@ -76,7 +76,6 @@ class Graph:
             masks[v] |= 1 << u
         self._adj: tuple[tuple[int, ...], ...] = tuple(tuple(sorted(a)) for a in adj)
         self._masks: tuple[int, ...] = tuple(masks)
-        self._hash = hash((n, self.edges))
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         return self._adj[v]
@@ -102,7 +101,7 @@ class Graph:
         return self.n == other.n and self.edges == other.edges
 
     def __hash__(self) -> int:
-        return self._hash
+        return hash((self.n, self.edges))
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={len(self.edges)})"

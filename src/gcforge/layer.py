@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graph import Graph, ParameterError
+from .graph import ParameterError
 from .propagation import PlacementMap
 
 Triple = tuple[int, int, int]
@@ -214,11 +214,3 @@ def import_scheme(text: str) -> WeightSharingScheme:
     except SchemeError as exc:
         raise SchemeFormatError(str(exc)) from None
 
-
-def check_scheme_against_graph(s: WeightSharingScheme, g: Graph) -> None:
-    """Every wire must follow a graph edge or be a center self-wire."""
-    if s.n != g.n:
-        raise SchemeError(f"scheme n={s.n} does not match graph n={g.n}")
-    for out, inp, idx in s.triples:
-        if out != inp and not g.has_edge(out, inp):
-            raise SchemeError(f"triple {(out, inp, idx)} does not follow a graph edge")

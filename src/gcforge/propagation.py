@@ -13,10 +13,7 @@ from __future__ import annotations
 
 import heapq
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 from .graph import ConnectivityError, Graph, ParameterError, bfs_distances, is_connected
 from .translations import (
@@ -130,52 +127,20 @@ def _placement_key(p: KernelPlacement) -> tuple:
     return (p.accumulated.total, p.accumulated.losses, _seq_key(p.slots))
 
 
-def resolve_workers(requested: int | None = None) -> int:
-    """Worker count for frontier evaluation; GCF_THREADS caps it."""
-    w = 1 if requested is None else max(1, requested)
-    cap = os.environ.get("GCF_THREADS")
-    if cap is not None:
-        try:
-            w = min(w, max(1, int(cap)))
-        except ValueError:
-            raise ParameterError(f"GCF_THREADS must be an integer, got {cap!r}") from None
-    return w
-
-
-@lru_cache(maxsize=1 << 18)
-def _cached_translation(
-    g: Graph,
-    center: int,
-    slots: tuple[int | None, ...],
-    target: int,
-    alpha: float,
-    beta: float,
-    budget: float,
-) -> tuple[tuple[int | None, ...], DeformationScore] | None:
-    # pure function of its arguments; caching makes repeated runs (multiple
-    # worker configurations) nearly free. The budget is part of the key
-    # because a miss under one budget says nothing about another.
-    source = KernelPlacement(center=center, slots=slots, accumulated=ZERO_SCORE)
-    found = find_local_translation(g, source, target, alpha, beta, budget)
-    if found is None:
-        return None
-    t, step_score = found
-    mapping = t.mapping()
-    new_slots = tuple(None if v is None else mapping[v] for v in slots)
-    return new_slots, step_score
-
-
 def _step(
     g: Graph, source: KernelPlacement, target: int, alpha: float, beta: float, budget: float
 ) -> KernelPlacement | None:
     """Apply the best local translation of ``source`` onto ``target``, or
     return ``None`` if every translation scores above ``budget``."""
-    found = _cached_translation(g, source.center, source.slots, target, alpha, beta, budget)
+    found = find_local_translation(g, source, target, alpha, beta, budget)
     if found is None:
         return None
-    new_slots, step_score = found
+    t, step_score = found
+    mapping = t.mapping()
     return KernelPlacement(
-        center=target, slots=new_slots, accumulated=source.accumulated + step_score
+        center=target,
+        slots=tuple(None if v is None else mapping[v] for v in source.slots),
+        accumulated=source.accumulated + step_score,
     )
 
 
@@ -184,7 +149,6 @@ def propagate(
     seed_kernel: KernelPlacement,
     alpha: float = 1.0,
     beta: float = 1.0,
-    workers: int | None = None,
 ) -> PlacementMap:
     """Best-first propagation of the seed kernel to every vertex."""
     if not is_connected(g):
@@ -193,79 +157,58 @@ def propagate(
         n=g.n, k=seed_kernel.k, seed=seed_kernel.center, alpha=alpha, beta=beta,
         placements={seed_kernel.center: seed_kernel},
     )
-    _settle(g, pm, workers)
+    _settle(g, pm)
     return pm
 
 
-def refine(g: Graph, pm: PlacementMap, workers: int | None = None) -> PlacementMap:
+def refine(g: Graph, pm: PlacementMap) -> PlacementMap:
     """Re-run the relaxation from an existing map; a settled map is a fixed
     point, so refining it returns an equal map."""
     out = PlacementMap(
         n=pm.n, k=pm.k, seed=pm.seed, alpha=pm.alpha, beta=pm.beta,
         placements=dict(pm.placements),
     )
-    _settle(g, out, workers)
+    _settle(g, out)
     return out
 
 
-def _settle(g: Graph, pm: PlacementMap, workers: int | None) -> None:
+def _settle(g: Graph, pm: PlacementMap) -> None:
     check_weights(pm.alpha, pm.beta)
-    nworkers = resolve_workers(workers)
     best = pm.placements
     heap: list[tuple] = []
     for v in sorted(best):
         heapq.heappush(heap, (*_placement_key(best[v]), v))
 
-    pool = ThreadPoolExecutor(max_workers=nworkers) if nworkers > 1 else None
-    try:
-        while heap:
-            *key, u = heapq.heappop(heap)
-            placement = best.get(u)
-            if placement is None or tuple(key) != _placement_key(placement):
-                continue  # stale entry
-            # a step only adds deformation and never resurrects lost slots,
-            # so some incumbents are unbeatable from here without searching
-            acc = placement.accumulated
-            targets = []  # (target, budget)
-            for t in g.neighbors(u):
-                inc = best.get(t)
-                if inc is None:
-                    targets.append((t, math.inf))
-                    continue
-                if inc.accumulated.total < acc.total:
-                    continue
-                if (
-                    inc.accumulated.total == acc.total
-                    and inc.accumulated.losses < placement.loss_count
-                ):
-                    continue
+    while heap:
+        *key, u = heapq.heappop(heap)
+        placement = best.get(u)
+        if placement is None or tuple(key) != _placement_key(placement):
+            continue  # stale entry
+        # a step only adds deformation and never resurrects lost slots,
+        # so some incumbents are unbeatable from here without searching
+        acc = placement.accumulated
+        for t in g.neighbors(u):
+            incumbent = best.get(t)
+            if incumbent is None:
+                budget = math.inf
+            elif incumbent.accumulated.total < acc.total or (
+                incumbent.accumulated.total == acc.total
+                and incumbent.accumulated.losses < placement.loss_count
+            ):
+                continue
+            else:
                 # a candidate wins only if acc + step <= incumbent, so a step
                 # above the difference cannot win. The difference and that sum
                 # are both rounded; the slack absorbs it, and the key
                 # comparison below still decides exactly.
-                total = inc.accumulated.total
-                targets.append((t, total - acc.total + 1e-9 * max(1.0, total)))
-            if pool is not None:
-                results = list(
-                    pool.map(
-                        lambda tb: _step(g, placement, tb[0], pm.alpha, pm.beta, tb[1]),
-                        targets,
-                    )
-                )
-            else:
-                results = [_step(g, placement, t, pm.alpha, pm.beta, b) for t, b in targets]
-            # the relax step is a serial, deterministic reduction
-            for candidate in results:
-                if candidate is None:
-                    continue  # no translation fits the incumbent's budget
-                t = candidate.center
-                incumbent = best.get(t)
-                if incumbent is None or _placement_key(candidate) < _placement_key(incumbent):
-                    best[t] = candidate
-                    heapq.heappush(heap, (*_placement_key(candidate), t))
-    finally:
-        if pool is not None:
-            pool.shutdown()
+                total = incumbent.accumulated.total
+                budget = total - acc.total + 1e-9 * max(1.0, total)
+            candidate = _step(g, placement, t, pm.alpha, pm.beta, budget)
+            if candidate is None:
+                continue  # no translation fits the incumbent's budget
+            if incumbent is None or _placement_key(candidate) < _placement_key(incumbent):
+                best[t] = candidate
+                heapq.heappush(heap, (*_placement_key(candidate), t))
 
 
 @dataclass(frozen=True)

@@ -43,6 +43,24 @@ def connected_er_graphs(count: int, n: int, p: float, base_seed: int) -> list[Gr
     return out
 
 
+# SHA-256 of serialize_placements(propagate(g, init_kernel(g, most_central_vertex(g))))
+# at alpha = beta = 1 on each acceptance-3 graph,
+# connected_er_graphs(10, 50, 0.1, base_seed=9000), recorded in a fresh
+# process before the search memo and thread pool were removed.
+ER50_SHA256 = (
+    "74cec13bdc3e19464c0efeccfe1d6c35d470b9aaeea04f2aa18b45462cc62db2",
+    "5876d06844bf1bc9b32f67408c10f1a7e7b36dde5000b9754b2581d69b037a14",
+    "e3d9a19b59b93b17401a725e85821afb1eaa6cef40500826f616586e1153c54d",
+    "b02eccd66c92e14cf11b67f22b18d41cb07e9e8efd0b138661a74f700e582d9e",
+    "2d860f6946e978fd457dbd33b21ed3410069a63ddf4b3245c9da29c58a4e87b9",
+    "398007959bba67b720f1c3d6c9429102e4dc84055a8e387c6e9065b2fa24a4bc",
+    "2b804e8e9654a1c8b90142649b5c4973edfc7e841f42ce25830e4d69b990687f",
+    "894be912eb9b3da5593531049bcf6e2d1667c43fe2e36c4b2d0c01d3a074d1cb",
+    "5126b43e4bb618dcbe8701477337d5fb0e52c4528f72830f5add1c79a51ee10e",
+    "520177dd0e9e8fd127a620c34a70ffa3a608502a0f16f9a69a0ea3bc8b8a509a",
+)
+
+
 def oracle_family() -> list[Graph]:
     """The small graphs on which acceptance 2 checks the search against
     the brute-force oracle."""

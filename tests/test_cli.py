@@ -4,11 +4,24 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from gcforge.cli import main
-from gcforge.graph import dump_edge_list, grid_coordinates, grid_graph
-from gcforge.propagation import init_kernel, propagate, serialize_placements
+from gcforge.graph import (
+    CoordinateSet,
+    dump_edge_list,
+    grid_coordinates,
+    grid_graph,
+    infer_knn_graph,
+    load_edge_list,
+)
+from gcforge.propagation import (
+    init_kernel,
+    most_central_vertex,
+    propagate,
+    serialize_placements,
+)
 
 
 def run_cli(*args) -> int:
@@ -203,14 +216,14 @@ class TestTrainCommand:
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
     def test_train_writes_metrics_and_checkpoint(self, workdir):
-        g_path, _, s_path = _build_grid_artifacts(workdir)
+        _, _, s_path = _build_grid_artifacts(workdir)
         train_csv, test_csv = workdir / "train.csv", workdir / "test.csv"
         self._write_separable(train_csv, 25, 32, seed=0)
         self._write_separable(test_csv, 25, 12, seed=1)
         metrics = workdir / "metrics.csv"
         ckpt = workdir / "model.ckpt"
         assert run_cli(
-            "train", "--scheme", str(s_path), "--graph", str(g_path),
+            "train", "--scheme", str(s_path),
             "--train-data", str(train_csv), "--test-data", str(test_csv),
             "--epochs", "40", "--channels", "2", "--hidden", "16",
             "--metrics-out", str(metrics), "--checkpoint-out", str(ckpt),
@@ -234,6 +247,28 @@ class TestTrainCommand:
         ) == 0
         final_acc = float(metrics.read_text(encoding="utf-8").splitlines()[-1].split(",")[-1])
         assert final_acc >= 0.8
+
+    def test_placements_from_another_graph_exit_2(self, tmp_path, capsys):
+        # the 64-point k-NN clouds of seeds 42 and 43: same n, different graphs
+        for seed in (42, 43):
+            g = infer_knn_graph(CoordinateSet(np.random.default_rng(seed).random((64, 2))), 6)
+            (tmp_path / f"{seed}.edges").write_text(dump_edge_list(g), encoding="utf-8")
+        g = load_edge_list((tmp_path / "42.edges").read_text(encoding="utf-8"))
+        pm = propagate(g, init_kernel(g, most_central_vertex(g)))
+        (tmp_path / "42.placements").write_text(serialize_placements(pm), encoding="utf-8")
+
+        def make_dataset(seed):
+            return run_cli("make-dataset", "--graph", str(tmp_path / f"{seed}.edges"),
+                           "--placements", str(tmp_path / "42.placements"),
+                           "--samples-per-class", "2", "--out", str(tmp_path / f"{seed}.csv"))
+
+        assert make_dataset(42) == 0
+        capsys.readouterr()
+        assert make_dataset(43) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: placements do not come from this graph")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "43.csv").exists()
 
     def test_same_seed_byte_identical_metrics(self, workdir):
         g_path, p_path, s_path = _build_grid_artifacts(workdir)
@@ -295,3 +330,23 @@ class TestEntryPoint:
 
     def test_missing_required_flag_exits_2(self):
         assert run_cli("translate") == 2
+
+    def test_directory_as_input_exits_2(self, tmp_path, capsys):
+        code = run_cli("translate", "--graph", str(tmp_path), "--out", str(tmp_path / "p"))
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"error: {tmp_path}: ") and err.count("\n") == 1
+
+    def test_non_utf8_input_exits_2(self, tmp_path, capsys):
+        bad = tmp_path / "bad.edges"
+        bad.write_bytes(b"\xff3\n0 1\n1 2\n")
+        code = run_cli("translate", "--graph", str(bad), "--out", str(tmp_path / "p"))
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"error: {bad}: not UTF-8") and err.count("\n") == 1
+
+    def test_workers_flag_is_gone(self, workdir, capsys):
+        code = run_cli("translate", "--graph", str(workdir / "path.edges"),
+                       "--workers", "2", "--out", str(workdir / "p"))
+        assert code == 2
+        assert "unrecognized arguments: --workers 2" in capsys.readouterr().err

@@ -2,10 +2,15 @@ from __future__ import annotations
 
 import hashlib
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import gcforge
 from gcforge import propagation
 from gcforge.graph import (
     ConnectivityError,
@@ -18,7 +23,6 @@ from gcforge.graph import (
 )
 from gcforge.propagation import (
     PlacementFormatError,
-    _cached_translation,
     _distance_sums,
     closeness_centrality,
     init_kernel,
@@ -27,12 +31,11 @@ from gcforge.propagation import (
     placement_report,
     propagate,
     refine,
-    resolve_workers,
     serialize_placements,
 )
 from gcforge.translations import KernelPlacement, TranslationError, ZERO_SCORE
 
-from conftest import connected_er_graphs, path_graph, star_graph
+from conftest import ER50_SHA256, connected_er_graphs, path_graph, star_graph
 
 
 class TestCentrality:
@@ -169,27 +172,35 @@ class TestPropagate:
             pm = propagate(g, init_kernel(g, most_central_vertex(g)))
             assert refine(g, pm) == pm
 
-    def test_worker_counts_agree(self):
-        g = connected_er_graphs(1, 20, 0.2, 3000)[0]
-        kernel = init_kernel(g, most_central_vertex(g))
-        texts = {
-            w: serialize_placements(propagate(g, kernel, workers=w)) for w in (1, 2, 8)
-        }
-        assert texts[1] == texts[2] == texts[8]
+    def test_fresh_processes_agree(self):
+        # each run starts a new interpreter with its own string-hash seed, so
+        # nothing carries over between them and no hash order can leak out
+        program = (
+            "import sys\n"
+            "from conftest import connected_er_graphs\n"
+            "from gcforge.propagation import (\n"
+            "    init_kernel, most_central_vertex, propagate, serialize_placements)\n"
+            "g = connected_er_graphs(1, 20, 0.2, 3000)[0]\n"
+            "pm = propagate(g, init_kernel(g, most_central_vertex(g)))\n"
+            "sys.stdout.write(serialize_placements(pm))\n"
+        )
+        paths = [str(Path(__file__).parent), str(Path(gcforge.__file__).parents[1])]
+        texts = []
+        for hash_seed in ("1", "2"):
+            env = {**os.environ, "PYTHONHASHSEED": hash_seed,
+                   "PYTHONPATH": os.pathsep.join(paths)}
+            run = subprocess.run(
+                [sys.executable, "-c", program],
+                capture_output=True, text=True, encoding="utf-8", env=env, check=True,
+            )
+            texts.append(run.stdout)
+        assert texts[0] == texts[1]
+        assert texts[0].count("\n") == 22  # format comment, header, 20 vertices
 
     @pytest.mark.parametrize("alpha, beta", [(math.nan, 1.0), (1.0, math.inf)])
     def test_non_finite_weights_rejected(self, path3, alpha, beta):
         with pytest.raises(TranslationError, match="finite"):
             propagate(path3, init_kernel(path3, 1), alpha, beta)
-
-    def test_gcf_threads_caps_workers(self, monkeypatch):
-        monkeypatch.setenv("GCF_THREADS", "2")
-        assert resolve_workers(8) == 2
-        monkeypatch.delenv("GCF_THREADS")
-        assert resolve_workers(8) == 8
-        monkeypatch.setenv("GCF_THREADS", "junk")
-        with pytest.raises(ParameterError):
-            resolve_workers(4)
 
 
 class TestReport:
@@ -259,11 +270,7 @@ class TestSerialization:
 # recorded while every search still ran unbounded. A budget that rounds
 # the wrong way drops winners under the fractional weights.
 ER_REFERENCE = {
-    (1.0, 1.0): (
-        "74cec13bdc3e19464c0efeccfe1d6c35d470b9aaeea04f2aa18b45462cc62db2",
-        "5876d06844bf1bc9b32f67408c10f1a7e7b36dde5000b9754b2581d69b037a14",
-        "e3d9a19b59b93b17401a725e85821afb1eaa6cef40500826f616586e1153c54d",
-    ),
+    (1.0, 1.0): ER50_SHA256[:3],
     (0.3, 0.7): (
         "2af7cf62d02e54b38a240344db49689277ab2b430d6580ad62e4918e67511835",
         "bf3fbe47be370e0c5c0bf5553f71d3943a10dea716334e642d9848e6ac40d9a0",
@@ -290,7 +297,6 @@ def _placements_sha(g, alpha=1.0, beta=1.0):
 class TestBudgetedSearch:
     @pytest.mark.parametrize("alpha, beta", sorted(ER_REFERENCE))
     def test_placements_match_unbounded_reference(self, alpha, beta):
-        _cached_translation.cache_clear()  # search cold, not from the memo
         graphs = connected_er_graphs(3, 50, 0.1, base_seed=9000)
         got = tuple(_placements_sha(g, alpha, beta) for g in graphs)
         assert got == ER_REFERENCE[(alpha, beta)]
@@ -305,8 +311,7 @@ class TestBudgetedSearch:
             return found
 
         monkeypatch.setattr(propagation, "find_local_translation", counting)
-        _cached_translation.cache_clear()
         g = connected_er_graphs(1, 50, 0.1, base_seed=9000)[0]
-        assert _placements_sha(g) == ER_REFERENCE[(1.0, 1.0)][0]
+        assert _placements_sha(g) == ER50_SHA256[0]
         assert any(outcomes), "no search was cut off by its budget"
         assert not all(outcomes)
