@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from . import net
@@ -48,36 +47,27 @@ class UsageError(Exception):
     pass
 
 
-@dataclass
-class RunConfig:
-    """Validated invocation: the subcommand plus its checked inputs."""
-
-    subcommand: str
-    args: argparse.Namespace
-
-    @staticmethod
-    def from_args(args: argparse.Namespace) -> "RunConfig":
-        for name in ("coords", "graph", "placements", "scheme", "train_data", "test_data"):
-            p = getattr(args, name, None)
-            if p is not None and not Path(p).exists():
-                raise UsageError(f"input file not found: {p}")
-        for name, lo in (("k", 1), ("radius", 0), ("epochs", 0), ("batch", 1),
-                         ("classes", 2), ("samples_per_class", 1), ("hidden", 1),
-                         ("channels", 1)):
-            v = getattr(args, name, None)
-            if v is not None and v < lo:
-                raise UsageError(f"--{name.replace('_', '-')} must be >= {lo}, got {v}")
-        for name in ("alpha", "beta", "sigma", "lr", "amplitude"):
-            v = getattr(args, name, None)
-            if v is not None and not math.isfinite(v):
-                raise UsageError(f"--{name} must be finite, got {v}")
-        for name in ("alpha", "beta", "sigma", "lr"):
-            v = getattr(args, name, None)
-            if v is not None and v < 0:
-                raise UsageError(f"--{name} must be nonnegative, got {v}")
-        if getattr(args, "dropout", None) is not None and not (0.0 <= args.dropout < 1.0):
-            raise UsageError(f"--dropout must be in [0, 1), got {args.dropout}")
-        return RunConfig(subcommand=args.command, args=args)
+def _check_args(args: argparse.Namespace) -> None:
+    for name in ("coords", "graph", "placements", "scheme", "train_data", "test_data"):
+        p = getattr(args, name, None)
+        if p is not None and not Path(p).exists():
+            raise UsageError(f"input file not found: {p}")
+    for name, lo in (("k", 1), ("radius", 0), ("epochs", 0), ("batch", 1),
+                     ("classes", 2), ("samples_per_class", 1), ("hidden", 1),
+                     ("channels", 1)):
+        v = getattr(args, name, None)
+        if v is not None and v < lo:
+            raise UsageError(f"--{name.replace('_', '-')} must be >= {lo}, got {v}")
+    for name in ("alpha", "beta", "sigma", "lr", "amplitude"):
+        v = getattr(args, name, None)
+        if v is not None and not math.isfinite(v):
+            raise UsageError(f"--{name} must be finite, got {v}")
+    for name in ("alpha", "beta", "sigma", "lr"):
+        v = getattr(args, name, None)
+        if v is not None and v < 0:
+            raise UsageError(f"--{name} must be nonnegative, got {v}")
+    if getattr(args, "dropout", None) is not None and not (0.0 <= args.dropout < 1.0):
+        raise UsageError(f"--dropout must be in [0, 1), got {args.dropout}")
 
 
 def _read(path: str) -> str:
@@ -90,7 +80,10 @@ def _read(path: str) -> str:
 
 
 def _write(path: str, text: str) -> None:
-    Path(path).write_text(text, encoding="utf-8")
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise UsageError(f"{path}: {exc.strerror or exc}") from None
 
 
 def cmd_infer_graph(args) -> int:
@@ -273,7 +266,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        RunConfig.from_args(args)
+        _check_args(args)
         return args.func(args)
     except (
         UsageError,
@@ -282,7 +275,6 @@ def main(argv: list[str] | None = None) -> int:
         SchemeError,
         PlacementFormatError,
         net.NetError,
-        FileNotFoundError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -14,28 +14,26 @@ from typing import Iterable
 import numpy as np
 
 
+class LineNumberedError(Exception):
+    """Malformed input text. Carries a 1-based line number, when there is one."""
+
+    def __init__(self, message: str, line_no: int | None = None):
+        self.line_no = line_no
+        if line_no is not None:
+            message = f"line {line_no}: {message}"
+        super().__init__(message)
+
+
 class GraphError(Exception):
     """Base class for graph construction and parsing failures."""
 
 
-class EdgeListFormatError(GraphError):
-    """Malformed edge-list content. Carries a 1-based line number."""
-
-    def __init__(self, message: str, line_no: int | None = None):
-        self.line_no = line_no
-        if line_no is not None:
-            message = f"line {line_no}: {message}"
-        super().__init__(message)
+class EdgeListFormatError(LineNumberedError, GraphError):
+    """Malformed edge-list content."""
 
 
-class CoordinateFormatError(GraphError):
-    """Malformed coordinate CSV content. Carries a 1-based line number."""
-
-    def __init__(self, message: str, line_no: int | None = None):
-        self.line_no = line_no
-        if line_no is not None:
-            message = f"line {line_no}: {message}"
-        super().__init__(message)
+class CoordinateFormatError(LineNumberedError, GraphError):
+    """Malformed coordinate CSV content."""
 
 
 class ParameterError(GraphError):
@@ -85,10 +83,6 @@ class Graph:
 
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self._masks[u] >> v & 1)
-
-    def neighbor_mask(self, v: int) -> int:
-        """Neighbors of ``v`` as a bitmask (bit i set iff edge {v, i})."""
-        return self._masks[v]
 
     @property
     def neighbor_masks(self) -> tuple[int, ...]:

@@ -1,17 +1,20 @@
 """Sparse weight-sharing schemes: the bipartite connectivity of a graph
 convolutional layer, with its file format and the grid special-case check.
 
-A scheme is a set of (out_vertex, in_vertex, weight_index) triples: output
-neuron ``out`` reads input neuron ``in`` through shared weight ``idx``. The
-triples come from kernel placements: the placement centered at ``out``
-contributes one triple per surviving slot.
+A scheme is an n x K gather table of input ids: output neuron ``v`` reads
+input neuron ``table[v, i]`` through shared weight ``i``, and the id ``n``
+marks a lost slot (the layer reads 0 there). Row ``v`` is the slots of the
+placement centered at ``v``. The file format lists the surviving slots as
+``(out, in, idx)`` triples, which ``WeightSharingScheme.triples`` derives.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graph import ParameterError
+import numpy as np
+
+from .graph import LineNumberedError, ParameterError
 from .propagation import PlacementMap
 
 Triple = tuple[int, int, int]
@@ -23,69 +26,74 @@ class SchemeError(Exception):
     """Invalid weight-sharing scheme contents."""
 
 
-class SchemeFormatError(SchemeError):
-    """Malformed scheme text. Carries a 1-based line number."""
-
-    def __init__(self, message: str, line_no: int | None = None):
-        self.line_no = line_no
-        if line_no is not None:
-            message = f"line {line_no}: {message}"
-        super().__init__(message)
+class SchemeFormatError(LineNumberedError, SchemeError):
+    """Malformed scheme text."""
 
 
 class IncompletePlacementError(SchemeError):
     """The placement map is missing vertices, so no scheme can be built."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WeightSharingScheme:
-    """n output neurons wired to n input neurons through K shared weights.
+    """n output neurons wired to n input neurons through K shared weights,
+    stored as a read-only (n, K) ``intp`` table with ``n`` for a lost slot.
 
-    Invariants: ids in range; each (out, idx) and each (out, in) pair occurs
-    at most once; every vertex carries its own center triple (v, v, 0).
+    Invariants: ids in ``0..n``; every vertex carries its own center triple
+    (v, v, 0), i.e. ``table[:, 0] == arange(n)``; no live input appears twice
+    in a row.
     """
 
     n: int
     k: int
-    triples: tuple[Triple, ...]  # sorted by (out, idx)
+    table: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "triples", tuple(sorted(self.triples, key=lambda t: (t[0], t[2]))))
-        seen_oi: set[tuple[int, int]] = set()
-        seen_ow: set[tuple[int, int]] = set()
-        for out, inp, idx in self.triples:
-            if not (0 <= out < self.n) or not (0 <= inp < self.n):
-                raise SchemeError(f"vertex out of range in triple {(out, inp, idx)}")
-            if not (0 <= idx < self.k):
-                raise SchemeError(f"weight index out of range in triple {(out, inp, idx)}")
-            if (out, inp) in seen_oi:
-                raise SchemeError(f"duplicate (out, in) pair in triple {(out, inp, idx)}")
-            if (out, idx) in seen_ow:
-                raise SchemeError(f"duplicate (out, weight) pair in triple {(out, inp, idx)}")
-            seen_oi.add((out, inp))
-            seen_ow.add((out, idx))
-        for v in range(self.n):
-            if (v, 0) not in seen_ow or (v, v) not in seen_oi:
-                raise SchemeError(f"vertex {v} is missing its center triple ({v}, {v}, 0)")
+        n, table = self.n, np.array(self.table, dtype=np.intp)
+        if table.shape != (n, self.k):
+            raise SchemeError(f"table has shape {table.shape}, expected ({n}, {self.k})")
+        bad = np.argwhere((table < 0) | (table > n))
+        if bad.size:
+            out, idx = bad[0].tolist()
+            raise SchemeError(f"vertex id out of range 0..{n} at (out, idx) ({out}, {idx})")
+        off = np.flatnonzero(table[:, 0] != np.arange(n))
+        if off.size:
+            v = int(off[0])
+            raise SchemeError(f"vertex {v} is missing its center triple ({v}, {v}, 0)")
+        ordered = np.sort(table, axis=1)
+        dup = np.argwhere((ordered[:, 1:] == ordered[:, :-1]) & (ordered[:, 1:] < n))
+        if dup.size:
+            out, pos = dup[0].tolist()
+            raise SchemeError(f"duplicate (out, in) pair {(out, int(ordered[out, pos]))}")
+        table.flags.writeable = False
+        object.__setattr__(self, "table", table)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, WeightSharingScheme):
+            return NotImplemented
+        return self.n == other.n and self.k == other.k and np.array_equal(self.table, other.table)
+
+    @property
+    def triples(self) -> tuple[Triple, ...]:
+        """The surviving slots as (out, in, idx), sorted by (out, idx)."""
+        outs, idxs = np.nonzero(self.table < self.n)
+        return tuple(zip(outs.tolist(), self.table[outs, idxs].tolist(), idxs.tolist()))
 
     def in_edges(self, out: int) -> list[Triple]:
-        return [t for t in self.triples if t[0] == out]
+        row = self.table[out].tolist()
+        return [(out, inp, idx) for idx, inp in enumerate(row) if inp < self.n]
 
 
 def build_scheme(pm: PlacementMap) -> WeightSharingScheme:
-    """One triple per surviving slot of each vertex's placement."""
+    """One row per vertex: the slots of its placement, ``n`` where lost."""
     missing = [v for v in range(pm.n) if v not in pm.placements]
     if missing:
         raise IncompletePlacementError(
             f"placement map covers {len(pm.placements)} of {pm.n} vertices; "
             f"first missing vertex: {missing[0]}"
         )
-    triples: list[Triple] = []
-    for v in range(pm.n):
-        for idx, inp in enumerate(pm.placements[v].slots):
-            if inp is not None:
-                triples.append((v, inp, idx))
-    return WeightSharingScheme(n=pm.n, k=pm.k, triples=tuple(triples))
+    rows = [[pm.n if s is None else s for s in pm.placements[v].slots] for v in range(pm.n)]
+    return WeightSharingScheme(pm.n, pm.k, np.array(rows, dtype=np.intp).reshape(pm.n, pm.k))
 
 
 @dataclass(frozen=True)
@@ -116,47 +124,40 @@ def verify_grid_equivalence(s: WeightSharingScheme, rows: int, cols: int) -> Gri
     if rows * cols != s.n:
         raise ParameterError(f"grid {rows}x{cols} has {rows * cols} cells, scheme has n={s.n}")
 
+    def fail(witness: Triple, reason: str) -> GridCheckReport:
+        return GridCheckReport(False, None, witness, reason)
+
     offsets: dict[int, tuple[int, int]] = {}
     taken: dict[tuple[int, int], int] = {}
     for out, inp, idx in s.triples:
         dr, dc = divmod(inp, cols)[0] - divmod(out, cols)[0], inp % cols - out % cols
         if (dr, dc) not in PLUS_OFFSETS:
-            return GridCheckReport(
-                False, None, (out, inp, idx), f"offset ({dr:+d}, {dc:+d}) is not in the plus stencil"
-            )
+            return fail((out, inp, idx), f"offset ({dr:+d}, {dc:+d}) is not in the plus stencil")
         if idx in offsets:
             if offsets[idx] != (dr, dc):
-                return GridCheckReport(
-                    False,
-                    None,
+                return fail(
                     (out, inp, idx),
                     f"weight {idx} already maps to {offsets[idx]}, saw ({dr:+d}, {dc:+d})",
                 )
+        elif (dr, dc) in taken:
+            return fail(
+                (out, inp, idx),
+                f"offset ({dr:+d}, {dc:+d}) already belongs to weight {taken[(dr, dc)]}",
+            )
         else:
-            if (dr, dc) in taken:
-                return GridCheckReport(
-                    False,
-                    None,
-                    (out, inp, idx),
-                    f"offset ({dr:+d}, {dc:+d}) already belongs to weight {taken[(dr, dc)]}",
-                )
             offsets[idx] = (dr, dc)
             taken[(dr, dc)] = idx
 
-    have = set(s.triples)
+    table = s.table.tolist()
     for out in range(s.n):
         r, c = divmod(out, cols)
         for idx, (dr, dc) in offsets.items():
             rr, cc = r + dr, c + dc
-            if 0 <= rr < rows and 0 <= cc < cols:
-                expected = (out, rr * cols + cc, idx)
-                if expected not in have:
-                    return GridCheckReport(
-                        False,
-                        None,
-                        expected,
-                        f"in-bounds offset ({dr:+d}, {dc:+d}) of vertex {out} is not realized",
-                    )
+            if 0 <= rr < rows and 0 <= cc < cols and table[out][idx] != rr * cols + cc:
+                return fail(
+                    (out, rr * cols + cc, idx),
+                    f"in-bounds offset ({dr:+d}, {dc:+d}) of vertex {out} is not realized",
+                )
     return GridCheckReport(True, offsets, None, "all triples consistent")
 
 
@@ -177,10 +178,17 @@ def export_scheme(s: WeightSharingScheme, transpose: bool = False) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _repeats(keys: np.ndarray) -> np.ndarray:
+    """Positions of the entries whose key occurred earlier."""
+    order = np.argsort(keys, kind="stable")
+    return order[1:][keys[order[1:]] == keys[order[:-1]]]
+
+
 def import_scheme(text: str) -> WeightSharingScheme:
-    """Parse the scheme format; ``#`` starts a comment line."""
+    """Parse the scheme format; ``#`` starts a comment line. A repeated
+    (out, in) or (out, idx) pair is reported at its second occurrence."""
     n = k = None
-    triples: list[Triple] = []
+    rows: list[tuple[int, int, int, int]] = []  # out, in, idx, line number
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -206,11 +214,19 @@ def import_scheme(text: str) -> WeightSharingScheme:
             raise SchemeFormatError(f"vertex id out of range 0..{n - 1} in {line!r}", line_no)
         if not (0 <= idx < k):
             raise SchemeFormatError(f"weight index out of range 0..{k - 1} in {line!r}", line_no)
-        triples.append((out, inp, idx))
+        rows.append((out, inp, idx, line_no))
     if n is None:
         raise SchemeFormatError("empty input: missing 'n K' header")
+    out, inp, idx, line_nos = np.array(rows, dtype=np.intp).reshape(-1, 4).T
+    repeats = np.concatenate([_repeats(out * n + inp), _repeats(out * k + idx)])
+    if repeats.size:
+        at = int(repeats.min())
+        raise SchemeFormatError(
+            f"duplicate (out, in) or (out, idx) pair in triple {rows[at][:3]}", int(line_nos[at])
+        )
+    table = np.full((n, k), n, dtype=np.intp)
+    table[out, idx] = inp
     try:
-        return WeightSharingScheme(n=n, k=k, triples=tuple(triples))
+        return WeightSharingScheme(n, k, table)
     except SchemeError as exc:
         raise SchemeFormatError(str(exc)) from None
-

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph import Graph
+from .graph import Graph, LineNumberedError
 from .layer import WeightSharingScheme
 from .propagation import PlacementMap
 
@@ -35,14 +35,8 @@ class DivergenceError(NetError):
         super().__init__(f"loss diverged (non-finite) at epoch {epoch}")
 
 
-class DatasetFormatError(NetError):
-    """Malformed dataset CSV. Carries a 1-based line number."""
-
-    def __init__(self, message: str, line_no: int | None = None):
-        self.line_no = line_no
-        if line_no is not None:
-            message = f"line {line_no}: {message}"
-        super().__init__(message)
+class DatasetFormatError(LineNumberedError, NetError):
+    """Malformed dataset CSV."""
 
 
 @dataclass
@@ -150,10 +144,6 @@ class ConvLayer:
         self.channels = channels
         self.n = scheme.n
         self.k = scheme.k
-        # table[out, idx] = in; a lost slot reads the zero column at index n
-        trip = np.array(scheme.triples, dtype=np.intp).reshape(-1, 3)
-        self.table = np.full((self.n, self.k), self.n, dtype=np.intp)
-        self.table[trip[:, 0], trip[:, 2]] = trip[:, 1]
         if rng is None:
             rng = np.random.default_rng(0)
         self.weights = rng.standard_normal((channels, self.k)) / np.sqrt(self.k)
@@ -177,7 +167,7 @@ class ConvLayer:
         padded = np.concatenate([x, np.zeros((x.shape[0], 1))], axis=1)
         # take() returns a C-contiguous (B, n, K); padded[:, table] puts the
         # batch axis innermost, which makes the matmul below several times slower
-        self._g = padded.take(self.table, axis=1)
+        self._g = padded.take(self.scheme.table, axis=1)
         y = self.weights @ self._g.transpose(0, 2, 1)  # (B, C, n)
         y += self.bias[:, None]
         return y[0] if squeeze else y
@@ -193,7 +183,7 @@ class ConvLayer:
         per_slot = gout.transpose(0, 2, 1) @ self.weights  # (B, n, K)
         # one bincount over every (row, slot) pair; row b owns bins
         # b*(n+1) .. b*(n+1)+n, the last of them the lost-slot sentinel
-        bins = np.arange(b)[:, None, None] * (n + 1) + self.table
+        bins = np.arange(b)[:, None, None] * (n + 1) + self.scheme.table
         gx = np.bincount(bins.ravel(), weights=per_slot.ravel(), minlength=b * (n + 1))
         self.grads = {"weights": gw, "bias": gb}
         return gx.reshape(b, n + 1)[:, :n]

@@ -15,7 +15,14 @@ import heapq
 import math
 from dataclasses import dataclass, field
 
-from .graph import ConnectivityError, Graph, ParameterError, bfs_distances, is_connected
+from .graph import (
+    ConnectivityError,
+    Graph,
+    LineNumberedError,
+    ParameterError,
+    bfs_distances,
+    is_connected,
+)
 from .translations import (
     LOSS_TEXT,
     DeformationScore,
@@ -27,14 +34,8 @@ from .translations import (
 )
 
 
-class PlacementFormatError(Exception):
-    """Malformed placement-map text. Carries a 1-based line number."""
-
-    def __init__(self, message: str, line_no: int | None = None):
-        self.line_no = line_no
-        if line_no is not None:
-            message = f"line {line_no}: {message}"
-        super().__init__(message)
+class PlacementFormatError(LineNumberedError):
+    """Malformed placement-map text."""
 
 
 def _distance_sums(g: Graph) -> list[int]:

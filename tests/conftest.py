@@ -3,10 +3,15 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import settings
 
 from gcforge.graph import Graph, is_connected
 from gcforge.propagation import init_kernel, most_central_vertex, propagate
 from gcforge.translations import KernelPlacement
+
+# hypothesis profile of the property tests: derandomized, so every run draws
+# the same examples
+PROFILE = settings(derandomize=True, database=None, deadline=None, max_examples=200)
 
 
 def path_graph(n: int) -> Graph:

@@ -313,6 +313,37 @@ class TestTrainCommand:
         assert err == "error: line 4: label must be nonnegative, got -1\n"
         assert not (workdir / "m.csv").exists()
 
+    @pytest.mark.parametrize("scheme, message", [
+        ("2 2\n0 1 0\n0 0 1\n1 0 0\n1 1 1\n",
+         "error: vertex 0 is missing its center triple (0, 0, 0)\n"),
+        ("2 2\n0 0 0\n0 1 1\n1 1 0\n0 1 1\n",
+         "error: line 5: duplicate (out, in) or (out, idx) pair in triple (0, 1, 1)\n"),
+    ], ids=["off-center", "duplicate-line"])
+    def test_bad_scheme_exits_2(self, tmp_path, capsys, scheme, message):
+        (tmp_path / "s.scheme").write_text(scheme, encoding="utf-8")
+        self._write_separable(tmp_path / "d.csv", 2, 4, seed=0)
+        code = run_cli(
+            "train", "--scheme", str(tmp_path / "s.scheme"),
+            "--train-data", str(tmp_path / "d.csv"), "--test-data", str(tmp_path / "d.csv"),
+            "--metrics-out", str(tmp_path / "m.csv"),
+        )
+        assert code == 2
+        assert capsys.readouterr().err == message
+        assert not (tmp_path / "m.csv").exists()
+
+    def test_directory_as_metrics_out_exits_2(self, tmp_path, capsys):
+        (tmp_path / "s.scheme").write_text("2 1\n0 0 0\n1 1 0\n", encoding="utf-8")
+        self._write_separable(tmp_path / "d.csv", 2, 4, seed=0)
+        (tmp_path / "m").mkdir()
+        code = run_cli(
+            "train", "--scheme", str(tmp_path / "s.scheme"), "--epochs", "1",
+            "--train-data", str(tmp_path / "d.csv"), "--test-data", str(tmp_path / "d.csv"),
+            "--metrics-out", str(tmp_path / "m"),
+        )
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"error: {tmp_path / 'm'}: ") and err.count("\n") == 1
+
 
 class TestEntryPoint:
     def test_module_invocation(self, tmp_path):
@@ -336,6 +367,14 @@ class TestEntryPoint:
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith(f"error: {tmp_path}: ") and err.count("\n") == 1
+
+    def test_directory_as_out_exits_2(self, workdir, capsys):
+        (workdir / "p").mkdir()
+        code = run_cli("translate", "--graph", str(workdir / "path.edges"),
+                       "--out", str(workdir / "p"))
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"error: {workdir / 'p'}: ") and err.count("\n") == 1
 
     def test_non_utf8_input_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.edges"

@@ -77,13 +77,26 @@ class TestBuildScheme:
 
     def test_invariants_enforced(self):
         with pytest.raises(SchemeError, match="center triple"):
-            WeightSharingScheme(n=2, k=1, triples=((0, 0, 0),))
+            WeightSharingScheme(n=2, k=1, table=[[0], [2]])
         with pytest.raises(SchemeError, match="duplicate"):
-            WeightSharingScheme(
-                n=2, k=3, triples=((0, 0, 0), (1, 1, 0), (0, 1, 1), (0, 1, 2))
-            )
+            WeightSharingScheme(n=2, k=3, table=[[0, 1, 1], [1, 2, 2]])
         with pytest.raises(SchemeError, match="out of range"):
-            WeightSharingScheme(n=2, k=1, triples=((0, 0, 0), (1, 1, 0), (1, 5, 0)))
+            WeightSharingScheme(n=2, k=2, table=[[0, 2], [1, 5]])
+
+    def test_off_center_weight_0_rejected(self):
+        # weight 0 of each vertex sits on the other vertex: every slot is
+        # distinct, but no vertex carries its self-wire (v, v, 0)
+        with pytest.raises(SchemeError, match="vertex 0 is missing its center triple"):
+            WeightSharingScheme(n=2, k=2, table=[[1, 0], [0, 1]])
+
+    def test_table_is_the_stored_form(self, path_pm):
+        _, pm = path_pm
+        scheme = build_scheme(pm)
+        assert scheme.table.tolist() == [[0, 3, 1], [1, 0, 2], [2, 1, 3]]
+        assert not scheme.table.flags.writeable
+        assert scheme.in_edges(0) == [(0, 0, 0), (0, 1, 2)]
+        assert scheme == WeightSharingScheme(3, 3, scheme.table.copy())
+        assert scheme != WeightSharingScheme(3, 3, [[0, 1, 3], [1, 0, 2], [2, 1, 3]])
 
 
 class TestGridEquivalence:
@@ -104,12 +117,10 @@ class TestGridEquivalence:
     def test_perturbed_scheme_fails_with_witness(self, grid_scheme_4x4):
         _, scheme = grid_scheme_4x4
         # swap the weight indices of two wires at one output vertex
-        triples = list(scheme.triples)
-        a = triples.index((5, 1, 1))
-        b = triples.index((5, 4, 2))
-        triples[a] = (5, 1, 2)
-        triples[b] = (5, 4, 1)
-        bad = WeightSharingScheme(n=scheme.n, k=scheme.k, triples=tuple(triples))
+        table = scheme.table.copy()
+        assert table[5, 1] == 1 and table[5, 2] == 4
+        table[5, [1, 2]] = table[5, [2, 1]]
+        bad = WeightSharingScheme(n=scheme.n, k=scheme.k, table=table)
         report = verify_grid_equivalence(bad, 4, 4)
         assert not report.passed
         assert report.witness is not None
@@ -122,8 +133,7 @@ class TestGridEquivalence:
     def test_missing_realized_offset_fails(self):
         # identity-only scheme on a 2x2 grid with K=2: weight 1 never used,
         # fine; but a scheme claiming offset (0,1) only at one vertex fails
-        triples = [(v, v, 0) for v in range(4)] + [(0, 1, 1)]
-        s = WeightSharingScheme(n=4, k=2, triples=tuple(triples))
+        s = WeightSharingScheme(n=4, k=2, table=[[0, 1], [1, 4], [2, 4], [3, 4]])
         report = verify_grid_equivalence(s, 2, 2)
         assert not report.passed
         assert "not realized" in report.reason
@@ -178,6 +188,19 @@ class TestSchemeFiles:
         _, scheme = grid_scheme_4x4
         flipped = import_scheme(export_scheme(scheme, transpose=True))
         assert export_scheme(flipped, transpose=True) == export_scheme(scheme)
+
+    def test_off_center_weight_0_rejected_on_import(self):
+        with pytest.raises(SchemeFormatError, match="missing its center triple"):
+            import_scheme("2 2\n0 1 0\n0 0 1\n1 0 0\n1 1 1\n")
+
+    @pytest.mark.parametrize("text, line", [
+        ("2 2\n0 0 0\n0 1 1\n1 1 0\n0 1 1\n", 5),  # the same line twice
+        ("# c\n2 3\n0 0 0\n0 1 1\n1 1 0\n0 1 2\n", 6),  # (out, in) twice
+        ("2 2\n0 0 0\n0 1 1\n1 1 0\n1 0 0\n", 5),  # (out, idx) twice
+    ], ids=["same-line", "out-in", "out-idx"])
+    def test_duplicate_names_line_of_second_occurrence(self, text, line):
+        with pytest.raises(SchemeFormatError, match=f"^line {line}: duplicate"):
+            import_scheme(text)
 
     def test_empty_input(self):
         with pytest.raises(SchemeFormatError, match="header"):

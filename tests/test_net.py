@@ -53,7 +53,7 @@ def lossy_er_scheme():
 
 
 def identity_scheme(n):
-    return WeightSharingScheme(n=n, k=1, triples=tuple((v, v, 0) for v in range(n)))
+    return WeightSharingScheme(n=n, k=1, table=np.arange(n)[:, None])
 
 
 def fd_gradient(f, arr, step=1e-5):

@@ -268,9 +268,9 @@ class TestSerialization:
 
 # SHA-256 of serialize_placements on the first three acceptance-3 graphs,
 # recorded while every search still ran unbounded. A budget that rounds
-# the wrong way drops winners under the fractional weights.
+# the wrong way drops winners under the fractional weights. Acceptance 3
+# holds the unit-weight hashes of the same graphs (ER50_SHA256).
 ER_REFERENCE = {
-    (1.0, 1.0): ER50_SHA256[:3],
     (0.3, 0.7): (
         "2af7cf62d02e54b38a240344db49689277ab2b430d6580ad62e4918e67511835",
         "bf3fbe47be370e0c5c0bf5553f71d3943a10dea716334e642d9848e6ac40d9a0",

@@ -4,13 +4,13 @@ examples."""
 
 from __future__ import annotations
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from gcforge.layer import build_scheme, export_scheme, import_scheme
 from gcforge.propagation import PlacementMap, parse_placements, serialize_placements
 from gcforge.translations import DeformationScore, KernelPlacement
 
-PROFILE = settings(derandomize=True, database=None, deadline=None, max_examples=200)
+from conftest import PROFILE
 
 
 @st.composite
