@@ -48,10 +48,6 @@ class UsageError(Exception):
 
 
 def _check_args(args: argparse.Namespace) -> None:
-    for name in ("coords", "graph", "placements", "scheme", "train_data", "test_data"):
-        p = getattr(args, name, None)
-        if p is not None and not Path(p).exists():
-            raise UsageError(f"input file not found: {p}")
     for name, lo in (("k", 1), ("radius", 0), ("epochs", 0), ("batch", 1),
                      ("classes", 2), ("samples_per_class", 1), ("hidden", 1),
                      ("channels", 1)):
@@ -113,9 +109,8 @@ def cmd_translate(args) -> int:
 def cmd_build_layer(args) -> int:
     pm = parse_placements(_read(args.placements))
     scheme = build_scheme(pm)
-    _write(args.out, export_scheme(scheme, transpose=args.transpose))
-    kind = "transposed " if args.transpose else ""
-    print(f"wrote {args.out}: {kind}scheme with {len(scheme.triples)} wires, K={scheme.k}")
+    _write(args.out, export_scheme(scheme))
+    print(f"wrote {args.out}: scheme with {len(scheme.triples)} wires, K={scheme.k}")
     return 0
 
 
@@ -217,8 +212,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("build-layer", help="weight-sharing scheme from placements")
     p.add_argument("--placements", required=True, help="placement-map input path")
-    p.add_argument("--transpose", action="store_true",
-                   help="emit the kernel-centered-at-input convention")
     p.add_argument("--out", required=True, help="scheme output path")
     p.set_defaults(func=cmd_build_layer)
 

@@ -94,9 +94,6 @@ class Graph:
             return NotImplemented
         return self.n == other.n and self.edges == other.edges
 
-    def __hash__(self) -> int:
-        return hash((self.n, self.edges))
-
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={len(self.edges)})"
 
@@ -136,14 +133,11 @@ def _significant_lines(text: str) -> Iterable[tuple[int, str]]:
         yield i, line
 
 
-def load_edge_list(text) -> Graph:
-    """Parse the edge-list format: first line ``n``, then ``u v`` lines.
+def load_edge_list(text: str) -> Graph:
+    """Parse edge-list text: first line ``n``, then ``u v`` lines.
 
-    Accepts a string or a text stream. ``#`` starts a comment line;
-    duplicate undirected edges collapse.
+    ``#`` starts a comment line; duplicate undirected edges collapse.
     """
-    if hasattr(text, "read"):
-        text = text.read()
     lines = iter(_significant_lines(text))
     try:
         line_no, header = next(lines)
@@ -180,14 +174,11 @@ def dump_edge_list(g: Graph) -> str:
     return "\n".join(out) + "\n"
 
 
-def load_coordinates(text) -> CoordinateSet:
-    """Parse coordinate CSV: one row per vertex, d numeric columns.
+def load_coordinates(text: str) -> CoordinateSet:
+    """Parse coordinate CSV text: one row per vertex, d numeric columns.
 
-    Accepts a string or a text stream. An optional header row is detected
-    by a non-numeric first field.
+    An optional header row is detected by a non-numeric first field.
     """
-    if hasattr(text, "read"):
-        text = text.read()
     rows: list[list[float]] = []
     width: int | None = None
     first_seen = False
@@ -213,14 +204,6 @@ def load_coordinates(text) -> CoordinateSet:
     if not rows:
         raise CoordinateFormatError("no coordinate rows found")
     return CoordinateSet(np.array(rows, dtype=np.float64))
-
-
-def dump_coordinates(coords: CoordinateSet) -> str:
-    header = ",".join(f"c{i}" for i in range(coords.dim))
-    lines = [header]
-    for row in coords.points:
-        lines.append(",".join(repr(float(x)) for x in row))
-    return "\n".join(lines) + "\n"
 
 
 def infer_knn_graph(coords: CoordinateSet, k: int) -> Graph:

@@ -161,20 +161,11 @@ def verify_grid_equivalence(s: WeightSharingScheme, rows: int, cols: int) -> Gri
     return GridCheckReport(True, offsets, None, "all triples consistent")
 
 
-def export_scheme(s: WeightSharingScheme, transpose: bool = False) -> str:
+def export_scheme(s: WeightSharingScheme) -> str:
     """Canonical scheme text: header ``n K``, then ``out in idx`` lines
-    sorted by (out, idx).
-
-    ``transpose`` swaps the roles of the two neuron columns on output (the
-    kernel-centered-at-input convention); transposed schemes target external
-    consumers and may not re-import under this module's invariants except
-    on bijective schemes such as grids.
-    """
+    sorted by (out, idx)."""
     lines = [f"{s.n} {s.k}"]
-    triples = s.triples
-    if transpose:
-        triples = tuple(sorted(((i, o, w) for o, i, w in triples), key=lambda t: (t[0], t[2])))
-    lines.extend(f"{o} {i} {w}" for o, i, w in triples)
+    lines.extend(f"{o} {i} {w}" for o, i, w in s.triples)
     return "\n".join(lines) + "\n"
 
 

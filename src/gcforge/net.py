@@ -73,41 +73,24 @@ def dataset_to_csv(ds: Dataset) -> str:
 
 
 def dataset_from_csv(text: str, expect_n: int | None = None) -> Dataset:
-    """Parse dataset CSV: signal columns then a final ``label`` column.
-
-    A header row is required to name the ``label`` column unless
-    ``expect_n`` pins the signal width.
-    """
+    """Parse dataset CSV: a header row whose last column is ``label``, then
+    one sample per row. ``expect_n`` checks the signal width."""
     rows: list[list[float]] = []
     labels: list[int] = []
     width: int | None = None
-    saw_header = False
-    first = True
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         fields = [f.strip() for f in line.split(",")]
-        if first:
-            first = False
-            try:
-                float(fields[0])
-            except ValueError:
-                saw_header = True
-                if fields[-1] != "label":
-                    raise DatasetFormatError(
-                        f"last column must be named 'label', got {fields[-1]!r}", line_no
-                    )
-                width = len(fields) - 1
-                continue
-            if expect_n is None:
+        if width is None:
+            if fields[-1] != "label":
                 raise DatasetFormatError(
-                    "headerless dataset needs an expected signal width to locate "
-                    "the label column",
-                    line_no,
+                    f"last column must be named 'label', got {fields[-1]!r}", line_no
                 )
-            width = expect_n
-        if width is not None and len(fields) != width + 1:
+            width = len(fields) - 1
+            continue
+        if len(fields) != width + 1:
             raise DatasetFormatError(
                 f"expected {width} signal columns plus 'label', got {len(fields)} fields",
                 line_no,
@@ -124,8 +107,6 @@ def dataset_from_csv(text: str, expect_n: int | None = None) -> Dataset:
     ds = Dataset(np.array(rows), np.array(labels))
     if expect_n is not None and ds.n != expect_n:
         raise DatasetFormatError(f"expected {expect_n} signal columns, got {ds.n}")
-    if saw_header is False and expect_n is None:
-        raise DatasetFormatError("label column missing: no header and no expected width")
     return ds
 
 
@@ -529,7 +510,8 @@ def make_translated_dataset(
 
 
 def save_checkpoint(model: Model) -> str:
-    """Plain-text parameter dump: a header per layer, one line per array."""
+    """Plain-text parameter dump: a header per layer, one line per array.
+    gcforge writes it for inspection and never reads it back."""
     lines = ["# gcforge checkpoint v1"]
     for li, layer in enumerate(model.layers):
         params = layer.parameters()
@@ -541,28 +523,3 @@ def save_checkpoint(model: Model) -> str:
             shape = "x".join(str(d) for d in np.asarray(arr).shape)
             lines.append(f"{name} {shape} {flat}")
     return "\n".join(lines) + "\n"
-
-
-def load_checkpoint(model: Model, text: str) -> None:
-    """Load a checkpoint into a structurally identical model, in place."""
-    current: int | None = None
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        if parts[0] == "layer":
-            current = int(parts[1])
-            if current >= len(model.layers) or type(model.layers[current]).__name__ != parts[2]:
-                raise NetError(f"line {line_no}: checkpoint layer {parts[1]} ({parts[2]}) "
-                               "does not match the model")
-            continue
-        if current is None:
-            raise NetError(f"line {line_no}: parameter line before any layer header")
-        name = parts[0]
-        shape = tuple(int(d) for d in parts[1].split("x")) if parts[1] != "" else ()
-        values = np.array([float(x) for x in parts[2:]]).reshape(shape)
-        target = dict(model.layers[current].parameters()).get(name)
-        if target is None or target.shape != values.shape:
-            raise NetError(f"line {line_no}: parameter {name!r} does not match the model")
-        target[...] = values

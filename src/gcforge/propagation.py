@@ -111,18 +111,6 @@ class PlacementMap:
     def is_complete(self) -> bool:
         return all(v in self.placements for v in range(self.n))
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, PlacementMap):
-            return NotImplemented
-        return (
-            self.n == other.n
-            and self.k == other.k
-            and self.seed == other.seed
-            and self.alpha == other.alpha
-            and self.beta == other.beta
-            and self.placements == other.placements
-        )
-
 
 def _placement_key(p: KernelPlacement) -> tuple:
     return (p.accumulated.total, p.accumulated.losses, _seq_key(p.slots))

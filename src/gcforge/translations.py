@@ -58,9 +58,6 @@ class Translation:
     def mapping(self) -> dict[int, int | None]:
         return dict(zip(self.domain, self.images))
 
-    def image_of(self, v: int) -> int | None:
-        return self.images[self.domain.index(v)]
-
     def check_vertex_range(self, n: int) -> None:
         for v in self.domain:
             if not 0 <= v < n:

@@ -62,7 +62,9 @@ class TestInferGraph:
         code = run_cli("infer-graph", "--coords", str(tmp_path / "nope.csv"),
                        "--k", "2", "--out", str(tmp_path / "g"))
         assert code == 2
-        assert "nope.csv" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            f"error: {tmp_path / 'nope.csv'}: No such file or directory\n"
+        )
 
 
 class TestTranslate:
@@ -151,13 +153,11 @@ class TestBuildLayerAndVerify:
         assert run_cli("build-layer", "--placements", str(p_path), "--out", str(again)) == 0
         assert again.read_bytes() == s_path.read_bytes()
 
-    def test_transpose_flag(self, workdir):
-        _, p_path, _ = _build_grid_artifacts(workdir)
-        flipped = workdir / "flipped.scheme"
-        assert run_cli("build-layer", "--placements", str(p_path),
-                       "--transpose", "--out", str(flipped)) == 0
-        text = flipped.read_text(encoding="utf-8")
-        assert text.splitlines()[0] == "25 5"
+    def test_transpose_flag_is_gone(self, workdir, capsys):
+        code = run_cli("build-layer", "--placements", str(workdir / "p"),
+                       "--transpose", "--out", str(workdir / "s"))
+        assert code == 2
+        assert "unrecognized arguments: --transpose" in capsys.readouterr().err
 
     def test_malformed_placements_exit_2(self, workdir, capsys):
         bad = workdir / "bad.placements"
@@ -296,6 +296,21 @@ class TestTrainCommand:
         )
         assert code == 2
         assert "label" in capsys.readouterr().err
+
+    def test_headerless_data_exits_2(self, tmp_path, capsys):
+        (tmp_path / "s.scheme").write_text("2 1\n0 0 0\n1 1 0\n", encoding="utf-8")
+        self._write_separable(tmp_path / "d.csv", 2, 4, seed=0)
+        rows = (tmp_path / "d.csv").read_text(encoding="utf-8").splitlines()[1:]
+        (tmp_path / "bare.csv").write_text("\n".join(rows) + "\n", encoding="utf-8")
+        code = run_cli(
+            "train", "--scheme", str(tmp_path / "s.scheme"), "--epochs", "1",
+            "--train-data", str(tmp_path / "bare.csv"), "--test-data", str(tmp_path / "d.csv"),
+            "--metrics-out", str(tmp_path / "m.csv"),
+        )
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: line 1: ") and err.count("\n") == 1
+        assert not (tmp_path / "m.csv").exists()
 
     def test_negative_label_exits_2(self, workdir, capsys):
         _, _, s_path = _build_grid_artifacts(workdir)

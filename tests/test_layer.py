@@ -173,22 +173,6 @@ class TestSchemeFiles:
         with pytest.raises(SchemeFormatError, match="line 3"):
             import_scheme("2 1\n0 0 0\n1 1\n")
 
-    def test_transpose_swaps_columns(self, path_pm):
-        _, pm = path_pm
-        scheme = build_scheme(pm)
-        normal = export_scheme(scheme)
-        flipped = export_scheme(scheme, transpose=True)
-        norm_triples = {tuple(map(int, l.split())) for l in normal.splitlines()[1:]}
-        flip_triples = {tuple(map(int, l.split())) for l in flipped.splitlines()[1:]}
-        assert flip_triples == {(i, o, w) for (o, i, w) in norm_triples}
-
-    def test_transpose_round_trips_on_grids(self, grid_scheme_4x4):
-        # rigid grid schemes are bijective, so the transposed file is itself
-        # a valid scheme and double transposition restores the original
-        _, scheme = grid_scheme_4x4
-        flipped = import_scheme(export_scheme(scheme, transpose=True))
-        assert export_scheme(flipped, transpose=True) == export_scheme(scheme)
-
     def test_off_center_weight_0_rejected_on_import(self):
         with pytest.raises(SchemeFormatError, match="missing its center triple"):
             import_scheme("2 2\n0 1 0\n0 0 1\n1 0 0\n1 1 1\n")

@@ -218,7 +218,7 @@ class TestFindLocalTranslation:
                     tr, score = find_local_translation(g, p, target)
                     assert is_injective(tr)
                     assert is_edge_constrained(g, tr)
-                    assert tr.image_of(v) == target
+                    assert tr.mapping()[v] == target
                     assert deformation_score(g, tr) == score
 
     def test_deterministic_across_runs(self):
@@ -264,7 +264,7 @@ class TestBruteForceOracle:
         for tr, score in enumerate_translations_bruteforce(g, dom, 0, target):
             assert is_injective(tr)
             assert is_edge_constrained(g, tr)
-            assert tr.image_of(0) == target
+            assert tr.mapping()[0] == target
             assert deformation_score(g, tr) == score
 
 
@@ -317,7 +317,8 @@ def _documented_order(placement, target):
 
     def key(pair):
         tr, score = pair
-        images = [tr.image_of(v) for v in live]
+        mapping = tr.mapping()
+        images = [mapping[v] for v in live]
         non_shift = sum(1 for v, w in zip(live, images) if w is None or w - v != delta)
         seq = tuple((1, 0) if w is None else (0, w) for w in images)
         return score.total, non_shift, score.losses, seq
