@@ -19,7 +19,6 @@ from .graph import (
     bfs_distances,
     dump_edge_list,
     infer_knn_graph,
-    is_connected,
     load_coordinates,
     load_edge_list,
 )
@@ -92,8 +91,6 @@ def cmd_infer_graph(args) -> int:
 
 def cmd_translate(args) -> int:
     g = load_edge_list(_read(args.graph))
-    if not is_connected(g):
-        raise UsageError("input graph is not connected")
     seed = args.seed_vertex if args.seed_vertex is not None else most_central_vertex(g)
     if not (0 <= seed < g.n):
         raise UsageError(f"--seed-vertex {seed} out of range 0..{g.n - 1}")

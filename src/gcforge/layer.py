@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import LineNumberedError, ParameterError
+from .graph import LineNumberedError, ParameterError, _significant_lines
 from .propagation import PlacementMap
 
 Triple = tuple[int, int, int]
@@ -180,10 +180,7 @@ def import_scheme(text: str) -> WeightSharingScheme:
     (out, in) or (out, idx) pair is reported at its second occurrence."""
     n = k = None
     rows: list[tuple[int, int, int, int]] = []  # out, in, idx, line number
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for line_no, line in _significant_lines(text):
         parts = line.split()
         if n is None:
             if len(parts) != 2:

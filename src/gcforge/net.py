@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph import Graph, LineNumberedError
+from .graph import Graph, LineNumberedError, _significant_lines
 from .layer import WeightSharingScheme
 from .propagation import PlacementMap
 
@@ -78,10 +78,7 @@ def dataset_from_csv(text: str, expect_n: int | None = None) -> Dataset:
     rows: list[list[float]] = []
     labels: list[int] = []
     width: int | None = None
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for line_no, line in _significant_lines(text):
         fields = [f.strip() for f in line.split(",")]
         if width is None:
             if fields[-1] != "label":

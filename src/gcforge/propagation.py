@@ -2,7 +2,7 @@
 other vertex along minimum-deformation chains of local translations.
 
 Each vertex keeps the single best placement seen so far, compared by
-(total deformation, losses, slot-image sequence). The expansion is
+(exact deformation cost, losses, slot-image sequence). The expansion is
 best-first over that key, a kept placement is revisited whenever a later
 chain improves it, and the loop runs until no kept placement can improve
 any neighbor. The result is a true fixed point of the per-vertex-winner
@@ -14,12 +14,14 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 from .graph import (
     ConnectivityError,
     Graph,
     LineNumberedError,
     ParameterError,
+    _significant_lines,
     bfs_distances,
     is_connected,
 )
@@ -28,8 +30,9 @@ from .translations import (
     DeformationScore,
     KernelPlacement,
     ZERO_SCORE,
+    TranslationError,
     _seq_key,
-    check_weights,
+    exact_weights,
     find_local_translation,
 )
 
@@ -64,7 +67,7 @@ def _distance_sums(g: Graph) -> list[int]:
             nxt.append(new)
         frontier = nxt
     if reach.count((1 << g.n) - 1) != g.n:
-        raise ConnectivityError("centrality needs a connected graph")
+        raise ConnectivityError("graph is not connected, so centrality is undefined")
     return sums
 
 
@@ -112,10 +115,6 @@ class PlacementMap:
         return all(v in self.placements for v in range(self.n))
 
 
-def _placement_key(p: KernelPlacement) -> tuple:
-    return (p.accumulated.total, p.accumulated.losses, _seq_key(p.slots))
-
-
 def _step(
     g: Graph, source: KernelPlacement, target: int, alpha: float, beta: float, budget: float
 ) -> KernelPlacement | None:
@@ -124,12 +123,15 @@ def _step(
     found = find_local_translation(g, source, target, alpha, beta, budget)
     if found is None:
         return None
-    t, step_score = found
+    t, step = found
     mapping = t.mapping()
+    acc = source.accumulated
     return KernelPlacement(
         center=target,
         slots=tuple(None if v is None else mapping[v] for v in source.slots),
-        accumulated=source.accumulated + step_score,
+        accumulated=DeformationScore.of(
+            acc.losses + step.losses, acc.snp_violations + step.snp_violations, alpha, beta
+        ),
     )
 
 
@@ -141,7 +143,7 @@ def propagate(
 ) -> PlacementMap:
     """Best-first propagation of the seed kernel to every vertex."""
     if not is_connected(g):
-        raise ConnectivityError("propagation needs a connected graph")
+        raise ConnectivityError("graph is not connected, so propagation cannot reach every vertex")
     pm = PlacementMap(
         n=g.n, k=seed_kernel.k, seed=seed_kernel.center, alpha=alpha, beta=beta,
         placements={seed_kernel.center: seed_kernel},
@@ -162,42 +164,39 @@ def refine(g: Graph, pm: PlacementMap) -> PlacementMap:
 
 
 def _settle(g: Graph, pm: PlacementMap) -> None:
-    check_weights(pm.alpha, pm.beta)
+    A, B, scale = exact_weights(pm.alpha, pm.beta)
+
+    def key(p: KernelPlacement) -> tuple:
+        acc = p.accumulated
+        return (A * acc.losses + B * acc.snp_violations, acc.losses, _seq_key(p.slots))
+
     best = pm.placements
     heap: list[tuple] = []
     for v in sorted(best):
-        heapq.heappush(heap, (*_placement_key(best[v]), v))
+        heapq.heappush(heap, (*key(best[v]), v))
 
     while heap:
-        *key, u = heapq.heappop(heap)
-        placement = best.get(u)
-        if placement is None or tuple(key) != _placement_key(placement):
+        *here, u = heapq.heappop(heap)
+        placement = best[u]
+        if tuple(here) != key(placement):
             continue  # stale entry
-        # a step only adds deformation and never resurrects lost slots,
-        # so some incumbents are unbeatable from here without searching
-        acc = placement.accumulated
         for t in g.neighbors(u):
             incumbent = best.get(t)
-            if incumbent is None:
-                budget = math.inf
-            elif incumbent.accumulated.total < acc.total or (
-                incumbent.accumulated.total == acc.total
-                and incumbent.accumulated.losses < placement.loss_count
-            ):
-                continue
-            else:
-                # a candidate wins only if acc + step <= incumbent, so a step
-                # above the difference cannot win. The difference and that sum
-                # are both rounded; the slack absorbs it, and the key
-                # comparison below still decides exactly.
-                total = incumbent.accumulated.total
-                budget = total - acc.total + 1e-9 * max(1.0, total)
+            budget = math.inf
+            if incumbent is not None:
+                bar = key(incumbent)
+                # a step only adds cost and never resurrects lost slots, so an
+                # incumbent ahead on (cost, losses) is unbeatable from here,
+                # and a step above the cost difference cannot win
+                if bar[:2] < tuple(here[:2]):
+                    continue
+                budget = Fraction(bar[0] - here[0], scale)
             candidate = _step(g, placement, t, pm.alpha, pm.beta, budget)
             if candidate is None:
                 continue  # no translation fits the incumbent's budget
-            if incumbent is None or _placement_key(candidate) < _placement_key(incumbent):
+            if incumbent is None or key(candidate) < bar:
                 best[t] = candidate
-                heapq.heappush(heap, (*_placement_key(candidate), t))
+                heapq.heappush(heap, (*key(candidate), t))
 
 
 @dataclass(frozen=True)
@@ -250,8 +249,8 @@ def serialize_placements(pm: PlacementMap) -> str:
 
         center; score; slot0=v, slot1=⊥, ...
 
-    ``score`` is the accumulated deformation total. Lost slots render as
-    ``⊥``. Encode as UTF-8.
+    ``score`` is ``alpha*losses + beta*pairs`` of the chain's summed counts,
+    computed once from them. Lost slots render as ``⊥``. Encode as UTF-8.
     """
     lines = [HEADER_COMMENT, f"{pm.n} {pm.k} {pm.seed} {pm.alpha!r} {pm.beta!r}"]
     for v in sorted(pm.placements):
@@ -266,10 +265,7 @@ def serialize_placements(pm: PlacementMap) -> str:
 def parse_placements(text: str) -> PlacementMap:
     """Parse the placement-map format produced by :func:`serialize_placements`."""
     pm: PlacementMap | None = None
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for line_no, line in _significant_lines(text):
         if pm is None:
             parts = line.split()
             if len(parts) != 5:
@@ -281,8 +277,10 @@ def parse_placements(text: str) -> PlacementMap:
                 alpha, beta = float(parts[3]), float(parts[4])
             except ValueError:
                 raise PlacementFormatError(f"non-numeric header field in {line!r}", line_no) from None
-            if not (math.isfinite(alpha) and math.isfinite(beta)):
-                raise PlacementFormatError(f"alpha and beta must be finite: {line!r}", line_no)
+            try:
+                exact_weights(alpha, beta)
+            except TranslationError as exc:
+                raise PlacementFormatError(str(exc), line_no) from None
             if n < 0 or k < 1 or not (0 <= seed < max(n, 1)):
                 raise PlacementFormatError(f"header values out of range: {line!r}", line_no)
             pm = PlacementMap(n=n, k=k, seed=seed, alpha=alpha, beta=beta)
@@ -328,16 +326,14 @@ def parse_placements(text: str) -> PlacementMap:
                 if not (0 <= vid < pm.n):
                     raise PlacementFormatError(f"slot vertex {vid} out of range", line_no)
                 slots.append(vid)
-        losses = sum(1 for s in slots if s is None)
-        if pm.beta > 0:
-            snp = round((total - pm.alpha * losses) / pm.beta)
-            if abs(pm.alpha * losses + pm.beta * snp - total) > 1e-9 or snp < 0:
-                raise PlacementFormatError(
-                    f"score {total!r} inconsistent with {losses} losses", line_no
-                )
-        else:
-            snp = 0
-        score = DeformationScore(losses, snp, total)
+        losses = slots.count(None)
+        pairs = (total - pm.alpha * losses) / pm.beta if pm.beta > 0 else 0.0
+        snp = round(pairs) if math.isfinite(pairs) else -1
+        score = DeformationScore.of(losses, snp, pm.alpha, pm.beta)
+        if snp < 0 or score.total != total:
+            raise PlacementFormatError(
+                f"score {total!r} inconsistent with {losses} losses", line_no
+            )
         try:
             pm.placements[center] = KernelPlacement(
                 center=center, slots=tuple(slots), accumulated=score

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Sequence
 
 from .graph import Graph
@@ -79,13 +80,6 @@ class DeformationScore:
     @staticmethod
     def of(losses: int, snp_violations: int, alpha: float, beta: float) -> "DeformationScore":
         return DeformationScore(losses, snp_violations, alpha * losses + beta * snp_violations)
-
-    def __add__(self, other: "DeformationScore") -> "DeformationScore":
-        return DeformationScore(
-            self.losses + other.losses,
-            self.snp_violations + other.snp_violations,
-            self.total + other.total,
-        )
 
 
 ZERO_SCORE = DeformationScore(0, 0, 0.0)
@@ -154,19 +148,29 @@ def snp_violations(g: Graph, t: Translation) -> int:
     return count
 
 
-def check_weights(alpha: float, beta: float) -> None:
-    """Reject deformation weights that are negative or not finite."""
+def exact_weights(alpha: float, beta: float) -> tuple[int, int, int]:
+    """Validate the deformation weights and return ``(A, B, scale)`` with
+    ``alpha == A/scale`` and ``beta == B/scale`` exactly.
+
+    Every finite float is a dyadic rational, so one common power of two
+    makes the cost ``alpha*losses + beta*snp`` the exact integer
+    ``A*losses + B*snp`` over ``scale``. Costs compare and tie on that
+    integer, never on a rounded float total.
+    """
     if not (math.isfinite(alpha) and math.isfinite(beta)) or alpha < 0 or beta < 0:
         raise TranslationError(
             f"alpha and beta must be finite and nonnegative, got {alpha!r} and {beta!r}"
         )
+    (a, da), (b, db) = alpha.as_integer_ratio(), beta.as_integer_ratio()
+    scale = max(da, db)  # both are powers of two
+    return a * (scale // da), b * (scale // db), scale
 
 
 def deformation_score(
     g: Graph, t: Translation, alpha: float = 1.0, beta: float = 1.0
 ) -> DeformationScore:
     """Score a translation: ``alpha`` per loss, ``beta`` per broken pair."""
-    check_weights(alpha, beta)
+    exact_weights(alpha, beta)
     losses = sum(1 for w in t.images if w is None)
     return DeformationScore.of(losses, snp_violations(g, t), alpha, beta)
 
@@ -229,16 +233,20 @@ def find_local_translation(
     3. lexicographically smallest image sequence in slot order, lost slots
        ordering after all vertex ids.
 
-    ``budget`` caps the score of interest: the search prunes every branch
-    whose bound is strictly above it and returns ``None`` when no map
-    scores ``<= budget``. A map that fits is the same one an unbounded
-    search returns, ties included, so the result is unchanged whenever it
-    is not ``None``. The default (infinity) always finds a map, because
-    losing every slot but the center is always feasible.
+    Costs compare as the exact integers of :func:`exact_weights`, so only
+    the ratio ``alpha:beta`` matters.
+
+    ``budget`` (a float or a :class:`~fractions.Fraction`) caps the exact
+    score ``alpha*losses + beta*snp``, with no rounding slack: the search
+    returns ``None`` when no map scores ``<= budget``. A map that fits is
+    the same one an unbounded search returns, ties included. The default
+    (infinity) always finds a map, because losing every slot but the
+    center is always feasible.
     """
-    check_weights(alpha, beta)
+    A, B, scale = exact_weights(alpha, beta)
     if math.isnan(budget):
         raise TranslationError("budget must not be nan")
+    limit = budget if math.isinf(budget) else math.floor(Fraction(budget) * scale)
     center = placement.center
     if not g.has_edge(center, target):
         raise AdjacencyError(f"target {target} is not adjacent to center {center}")
@@ -252,8 +260,8 @@ def find_local_translation(
     masks = [nbr[v] for v in verts]
 
     INF = float("inf")
-    best_prefix = [budget, INF, INF]  # (total, non-shifted slots, losses)
-    best_key: tuple | None = None  # (total, non_shift, losses, image seq)
+    best_prefix = [limit, INF, INF]  # (cost, non-shifted slots, losses)
+    best_key: tuple | None = None  # (cost, non_shift, losses, image seq)
     best_images: list[int] | None = None
     best_violations = 0
 
@@ -283,7 +291,7 @@ def find_local_translation(
         non_shift: int,
     ) -> None:
         nonlocal best_key, best_images, best_violations
-        total = alpha * losses + beta * violations
+        total = A * losses + B * violations
         if total > best_prefix[0]:
             return
         if not unassigned:
@@ -297,8 +305,8 @@ def find_local_translation(
 
         # Admissible cascaded bound: every open slot pays at least its
         # cheapest option, an option being a free neighbor
-        # (cost beta*conflicts, shift flag, survives) or the loss
-        # (cost alpha, non-shifted, lost). Conflicts between two open slots
+        # (cost B*conflicts, shift flag, survives) or the loss
+        # (cost A, non-shifted, lost). Conflicts between two open slots
         # are not counted, so every bound component only grows with depth,
         # and at bound equality each component is forced slot-wise.
         bound_total = total
@@ -306,16 +314,16 @@ def find_local_translation(
         bound_losses = losses
         branch_j = -1
         branch_sel = None
-        branch_min_c = 0.0
+        branch_min_c = 0
         # slots whose cheapest option is an image compete for those images;
         # a max matching bounds how many can win at once (loss-cheap slots
         # are satisfied privately), and every loser pays at least the
         # smallest cost step above a row minimum
-        contested: list[tuple[int, float]] = []  # (zero-cost image mask, step)
+        contested: list[tuple[int, int]] = []  # (zero-cost image mask, step)
         for j in unassigned:
             vj = verts[j]
             em, nm, ec = e_mask[j], n_mask[j], e_count[j]
-            min_c, min_s, min_l = alpha, 1, 1  # the loss option
+            min_c, min_s, min_l = A, 1, 1  # the loss option
             zero_imgs = 0
             min2 = INF
             free = masks[j] & ~used_mask
@@ -324,7 +332,7 @@ def find_local_translation(
                 low = free & -free
                 w = low.bit_length() - 1
                 free ^= low
-                c = beta * ((ec - (em & nbr[w]).bit_count()) + (nm & nbr[w]).bit_count())
+                c = B * ((ec - (em & nbr[w]).bit_count()) + (nm & nbr[w]).bit_count())
                 if c > min_c:
                     if c < min2:
                         min2 = c
@@ -345,8 +353,8 @@ def find_local_translation(
             bound_losses += min_l
             # a slot whose loss is no cheaper than its best image competes
             # for images; losers pay at least the next cost level up
-            if min_c < alpha and zero_imgs:
-                contested.append((zero_imgs, min(min2, alpha) - min_c))
+            if min_c < A and zero_imgs:
+                contested.append((zero_imgs, min(min2, A) - min_c))
             # branch on the most expensive slot, then the most constrained
             sel = (-min_c, nfree, j)
             if branch_j < 0 or sel < branch_sel:
@@ -369,14 +377,14 @@ def find_local_translation(
         base_total = bound_total - branch_min_c  # bound without j's share
 
         em, nm, ec = e_mask[j], n_mask[j], e_count[j]
-        options: list[tuple[float, int, int, int, int]] = [(alpha, 1, 1, -1, 0)]
+        options: list[tuple[int, int, int, int, int]] = [(A, 1, 1, -1, 0)]
         free = masks[j] & ~used_mask
         while free:
             low = free & -free
             w = low.bit_length() - 1
             free ^= low
             inc = (ec - (em & nbr[w]).bit_count()) + (nm & nbr[w]).bit_count()
-            options.append((beta * inc, 0 if w - vj == delta else 1, 0, w, inc))
+            options.append((B * inc, 0 if w - vj == delta else 1, 0, w, inc))
         options.sort()
 
         mask_j = masks[j]
@@ -434,9 +442,10 @@ def enumerate_translations_bruteforce(
     """Every translation satisfying the hard constraints, with its score.
 
     Exhaustive and unpruned: this is the oracle the branch-and-bound search
-    is checked against. Results sort by (total, losses, lexicographic image
-    sequence over the sorted domain).
+    is checked against. Results sort by (exact cost, losses, lexicographic
+    image sequence over the sorted domain).
     """
+    A, B, _ = exact_weights(alpha, beta)
     dom = tuple(sorted(set(domain)))
     if len(dom) > max_domain:
         raise DomainSizeError(f"domain of {len(dom)} vertices exceeds the guard ({max_domain})")
@@ -465,5 +474,7 @@ def enumerate_translations_bruteforce(
         images[i] = None
 
     recurse(0, 0)
-    results.sort(key=lambda pair: (pair[1].total, pair[1].losses, _seq_key(pair[0].images)))
+    results.sort(key=lambda pair: (
+        A * pair[1].losses + B * pair[1].snp_violations, pair[1].losses, _seq_key(pair[0].images)
+    ))
     return results

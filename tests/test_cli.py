@@ -99,6 +99,16 @@ class TestTranslate:
         assert code == 2
         assert "not connected" in capsys.readouterr().err
 
+    def test_disconnected_with_seed_vertex_exits_2(self, tmp_path, capsys):
+        # the seed skips centrality, so propagation is what must refuse
+        (tmp_path / "d.edges").write_text("4\n0 1\n2 3\n", encoding="utf-8")
+        code = run_cli("translate", "--graph", str(tmp_path / "d.edges"),
+                       "--seed-vertex", "0", "--out", str(tmp_path / "p.txt"))
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "not connected" in err and err.count("\n") == 1
+        assert not (tmp_path / "p.txt").exists()
+
     @pytest.mark.parametrize("flag, value", [("--alpha", "nan"), ("--beta", "inf")])
     def test_non_finite_weight_exits_2(self, workdir, capsys, flag, value):
         out = workdir / "p.txt"
@@ -176,6 +186,25 @@ class TestBuildLayerAndVerify:
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith("error: line 1: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("stage", ["build-layer", "make-dataset"])
+    def test_negative_header_weight_exits_2(self, workdir, capsys, stage):
+        bad = workdir / "bad.placements"
+        bad.write_text(
+            "# gcforge placement map v1\n3 3 1 -1.0 1.0\n"
+            "0; -1.0; slot0=0, slot1=1, slot2=⊥\n"
+            "1; 0.0; slot0=1, slot1=0, slot2=2\n"
+            "2; -1.0; slot0=2, slot1=1, slot2=⊥\n",
+            encoding="utf-8",
+        )
+        extra = ["--graph", str(workdir / "path.edges"), "--samples-per-class", "1"]
+        code = run_cli(stage, "--placements", str(bad), *(extra if stage == "make-dataset" else []),
+                       "--out", str(workdir / "out"))
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: line 2: alpha and beta must be finite and nonnegative, got -1.0 and 1.0\n"
+        )
+        assert not (workdir / "out").exists()
 
     @pytest.mark.parametrize("score", ["nan", "inf"])
     def test_non_finite_score_exits_2(self, workdir, capsys, score):

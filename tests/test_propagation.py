@@ -254,6 +254,9 @@ class TestSerialization:
         with pytest.raises(PlacementFormatError, match="inconsistent"):
             # total below the loss cost alone implies negative violations
             parse_placements("3 3 1 1.0 1.0\n1; 0.0; slot0=1, slot1=⊥, slot2=2\n")
+        with pytest.raises(PlacementFormatError, match="inconsistent"):
+            # the implied pair count overflows a float
+            parse_placements("3 3 1 1.0 0.5\n1; 1e308; slot0=1, slot1=0, slot2=2\n")
         with pytest.raises(PlacementFormatError, match="duplicate"):
             parse_placements(
                 "3 3 1 1.0 1.0\n"
@@ -266,25 +269,26 @@ class TestSerialization:
             parse_placements("# just a comment\n")
 
 
-# SHA-256 of serialize_placements on the first three acceptance-3 graphs,
-# recorded while every search still ran unbounded. A budget that rounds
-# the wrong way drops winners under the fractional weights. Acceptance 3
-# holds the unit-weight hashes of the same graphs (ER50_SHA256).
+# SHA-256 of serialize_placements on the first three acceptance-3 graphs at
+# fractional weights, recorded cold in a fresh process once every cost
+# compared as an exact integer. A budget that rounds the wrong way drops
+# winners under these weights. Acceptance 3 holds the unit-weight hashes of
+# the same graphs (ER50_SHA256).
 ER_REFERENCE = {
     (0.3, 0.7): (
-        "2af7cf62d02e54b38a240344db49689277ab2b430d6580ad62e4918e67511835",
-        "bf3fbe47be370e0c5c0bf5553f71d3943a10dea716334e642d9848e6ac40d9a0",
-        "59d462c22e6cb6e7d4c1cbf0cfe59689a41d1e0e0121eecb8c45ec504617452f",
+        "fa1cbc913a8a7277d258b501dece2aeeaebb3d6bdd44e51b8bab4391e3273348",
+        "45eec41e87d8ff52238737138058fbaae4e73da0f9a304ad49ebe020dbba01e7",
+        "6a5c643febdad2646dcba3468fc84c737b2c41165dad75cca5399175516d7c35",
     ),
     (0.1, 0.2): (
-        "2d5aa9ebe10704b4557e7e717e52345f7878cbb3d0f83ed62b7ca48a5d1e8bb7",
-        "a5e68ce23577fbd76a7e21f4e8dc946eb2b8d365d93aea93104e42cf61cdba9c",
-        "0700f914fdca8afda62de504063f32b87635ad48b85d4871360eadb360a50a1b",
+        "89faf9536c3681d49142e215696d47e8c76d6e70c5579fbe4aa12c0467149a02",
+        "4410b15ea0fbc8c1964624a1128e358e7edcae90659c12dda90cfafd46acb06b",
+        "c7b0f78f0a2dcc47194726ebde6da7ee02a86dc6aed0c163ddd96d1b4669ddda",
     ),
     (2.5, 0.3): (
-        "99a6dbcfd995d340ad507dfdce3d0d120d80cc02fb96c842c5fecd345c8e6ec8",
-        "5eb2e125ca9641f9307a9d63e9b4709989a0fd4e87b6527690cf8b585f300919",
-        "518590390045e1901672ce7993f00a71f269de9633ad2df1e8c3262567ccb175",
+        "361ed2eb19560caaf3dbe5d1d4ceaa47da88764d0aec34b0f009ded4c177e225",
+        "f8f2ac800dbec797a9119fcb4ca3dbfbecfd002f66e0de5b41864ca302dcb25d",
+        "7328c42e1379ecbe9410da09a6f9d57bcd4c52d652610a80d039acd2ad3d5609",
     ),
 }
 
@@ -300,6 +304,19 @@ class TestBudgetedSearch:
         graphs = connected_er_graphs(3, 50, 0.1, base_seed=9000)
         got = tuple(_placements_sha(g, alpha, beta) for g in graphs)
         assert got == ER_REFERENCE[(alpha, beta)]
+
+    @pytest.mark.parametrize("index", [0, 2])
+    def test_slots_depend_only_on_the_weight_ratio(self, index):
+        # 0.1:0.2 and 0.3:0.6 are 1:2 exactly in binary, so every cost is
+        # the same multiple of the (1, 2) cost and every tie breaks alike
+        g = connected_er_graphs(3, 50, 0.1, base_seed=9000)[index]
+        seed = init_kernel(g, most_central_vertex(g))
+
+        def slots(alpha, beta):
+            return {v: p.slots for v, p in propagate(g, seed, alpha, beta).placements.items()}
+
+        assert slots(0.1, 0.2) == slots(1.0, 2.0)
+        assert slots(0.3, 0.6) == slots(1.0, 2.0)
 
     def test_budget_prunes_without_changing_the_map(self, monkeypatch):
         outcomes = []
