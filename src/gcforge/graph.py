@@ -194,6 +194,8 @@ def load_coordinates(text: str) -> CoordinateSet:
             row = [float(f) for f in fields]
         except ValueError:
             raise CoordinateFormatError(f"non-numeric field in {line!r}", line_no) from None
+        if not all(map(math.isfinite, row)):
+            raise CoordinateFormatError(f"coordinates must be finite, got {line!r}", line_no)
         if width is None:
             width = len(row)
         elif len(row) != width:

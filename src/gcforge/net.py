@@ -14,6 +14,7 @@ softmax cross-entropy; training is deterministic given its seed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -97,6 +98,9 @@ def dataset_from_csv(text: str, expect_n: int | None = None) -> Dataset:
             labels.append(int(fields[-1]))
         except ValueError:
             raise DatasetFormatError(f"non-numeric field in {line!r}", line_no) from None
+        if not all(map(math.isfinite, rows[-1])):
+            bad = next(f for f in fields if not math.isfinite(float(f)))
+            raise DatasetFormatError(f"signal values must be finite, got {bad!r}", line_no)
         if labels[-1] < 0:
             raise DatasetFormatError(f"label must be nonnegative, got {labels[-1]}", line_no)
     if not rows:
@@ -458,6 +462,8 @@ def grid_search_lr(
 
 def make_templates(classes: int, k: int, seed: int, amplitude: float = 1.0) -> np.ndarray:
     """Per-class kernel-slot patterns: centered, unit-norm, scaled."""
+    if k < 2:  # a centered single slot is all zeros and has no unit norm
+        raise NetError(f"templates need at least 2 kernel slots, got K={k}")
     rng = np.random.default_rng(seed)
     t = rng.standard_normal((classes, k))
     t -= t.mean(axis=1, keepdims=True)

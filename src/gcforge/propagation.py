@@ -31,7 +31,6 @@ from .translations import (
     KernelPlacement,
     ZERO_SCORE,
     TranslationError,
-    _seq_key,
     exact_weights,
     find_local_translation,
 )
@@ -126,12 +125,13 @@ def _step(
     t, step = found
     mapping = t.mapping()
     acc = source.accumulated
+    # at beta == 0 broken pairs cost nothing and the file's score cannot
+    # carry them, so the chain records none
+    pairs = acc.snp_violations + step.snp_violations if beta else 0
     return KernelPlacement(
         center=target,
         slots=tuple(None if v is None else mapping[v] for v in source.slots),
-        accumulated=DeformationScore.of(
-            acc.losses + step.losses, acc.snp_violations + step.snp_violations, alpha, beta
-        ),
+        accumulated=DeformationScore.of(acc.losses + step.losses, pairs, alpha, beta),
     )
 
 
@@ -168,7 +168,8 @@ def _settle(g: Graph, pm: PlacementMap) -> None:
 
     def key(p: KernelPlacement) -> tuple:
         acc = p.accumulated
-        return (A * acc.losses + B * acc.snp_violations, acc.losses, _seq_key(p.slots))
+        slots = tuple(g.n if s is None else s for s in p.slots)  # lost orders last
+        return (A * acc.losses + B * acc.snp_violations, acc.losses, slots)
 
     best = pm.placements
     heap: list[tuple] = []

@@ -196,15 +196,6 @@ def _max_bit_matching(masks: list[int]) -> int:
     return sum(1 for i in range(len(masks)) if try_row(i, set()))
 
 
-def _image_key(w: int | None) -> tuple[int, int]:
-    # lost slots order after every vertex id
-    return (1, 0) if w is None else (0, w)
-
-
-def _seq_key(images: Sequence[int | None]) -> tuple[tuple[int, int], ...]:
-    return tuple(_image_key(w) for w in images)
-
-
 def find_local_translation(
     g: Graph,
     placement: KernelPlacement,
@@ -260,28 +251,17 @@ def find_local_translation(
     masks = [nbr[v] for v in verts]
 
     INF = float("inf")
-    best_prefix = [limit, INF, INF]  # (cost, non-shifted slots, losses)
-    best_key: tuple | None = None  # (cost, non_shift, losses, image seq)
-    best_images: list[int] | None = None
-    best_violations = 0
-
+    best = (limit, INF, INF, (), 0)  # (cost, non_shift, losses, images, violations)
     images = [-1] * m
     images[0] = target
 
-    # Pair-split state per open slot j: the images of assigned survivors
-    # whose preimage is adjacent to verts[j] (e_mask/e_count) versus not
-    # (n_mask). A candidate w for slot j then costs (edges not preserved)
-    # plus (non-edges that became edges), all via popcounts against w's
-    # neighborhood. Maintained incrementally as slots get assigned.
-    e_mask = [0] * m
-    n_mask = [0] * m
-    e_count = [0] * m
-    for j in range(1, m):
-        if masks[0] >> verts[j] & 1:
-            e_mask[j] = 1 << target
-            e_count[j] = 1
-        else:
-            n_mask[j] = 1 << target
+    # e_mask[j] holds the images of the assigned survivors whose preimage is
+    # adjacent to verts[j]; the rest of used_mask belongs to non-adjacent
+    # ones. A candidate w for slot j breaks every pair where that adjacency
+    # disagrees with w's, ((e_mask[j] ^ nbr[w]) & used_mask).bit_count(),
+    # edges lost plus non-edges gained. Assigning slot j flips its image
+    # bit in the masks of the open slots adjacent to verts[j].
+    e_mask = [1 << target if masks[0] >> v & 1 else 0 for v in verts]
 
     def search(
         unassigned: list[int],
@@ -290,17 +270,14 @@ def find_local_translation(
         violations: int,
         non_shift: int,
     ) -> None:
-        nonlocal best_key, best_images, best_violations
+        nonlocal best
         total = A * losses + B * violations
-        if total > best_prefix[0]:
+        if total > best[0]:
             return
         if not unassigned:
             key = (total, non_shift, losses, tuple(images))
-            if best_key is None or key < best_key:
-                best_key = key
-                best_prefix[0], best_prefix[1], best_prefix[2] = total, non_shift, losses
-                best_images = images.copy()
-                best_violations = violations
+            if key < best[:4]:
+                best = (*key, violations)
             return
 
         # Admissible cascaded bound: every open slot pays at least its
@@ -322,7 +299,7 @@ def find_local_translation(
         contested: list[tuple[int, int]] = []  # (zero-cost image mask, step)
         for j in unassigned:
             vj = verts[j]
-            em, nm, ec = e_mask[j], n_mask[j], e_count[j]
+            em = e_mask[j]
             min_c, min_s, min_l = A, 1, 1  # the loss option
             zero_imgs = 0
             min2 = INF
@@ -332,7 +309,7 @@ def find_local_translation(
                 low = free & -free
                 w = low.bit_length() - 1
                 free ^= low
-                c = B * ((ec - (em & nbr[w]).bit_count()) + (nm & nbr[w]).bit_count())
+                c = B * ((em ^ nbr[w]) & used_mask).bit_count()
                 if c > min_c:
                     if c < min2:
                         min2 = c
@@ -359,75 +336,53 @@ def find_local_translation(
             sel = (-min_c, nfree, j)
             if branch_j < 0 or sel < branch_sel:
                 branch_j, branch_sel, branch_min_c = j, sel, min_c
-        if bound_total > best_prefix[0] or (
-            bound_total == best_prefix[0]
-            and [bound_shift, bound_losses] > best_prefix[1:]
-        ):
+        if (bound_total, bound_shift, bound_losses) > best[:3]:
             return
         if len(contested) > 1:
             unmatched = len(contested) - _max_bit_matching([m_ for m_, _ in contested])
             if unmatched > 0:
                 steps = sorted(s_ for _, s_ in contested)
-                if bound_total + sum(steps[:unmatched]) > best_prefix[0]:
+                if bound_total + sum(steps[:unmatched]) > best[0]:
                     return
 
         j = branch_j
-        vj = verts[j]
+        vj, em, mask_j = verts[j], e_mask[j], masks[j]
         rest = [i for i in unassigned if i != j]
+        adjacent = [i for i in rest if mask_j >> verts[i] & 1]
         base_total = bound_total - branch_min_c  # bound without j's share
 
-        em, nm, ec = e_mask[j], n_mask[j], e_count[j]
-        options: list[tuple[int, int, int, int, int]] = [(A, 1, 1, -1, 0)]
-        free = masks[j] & ~used_mask
+        # (cost, shift flag, loss flag, image, broken pairs)
+        options: list[tuple[int, int, int, int, int]] = [(A, 1, 1, lost, 0)]
+        free = mask_j & ~used_mask
         while free:
             low = free & -free
             w = low.bit_length() - 1
             free ^= low
-            inc = (ec - (em & nbr[w]).bit_count()) + (nm & nbr[w]).bit_count()
+            inc = ((em ^ nbr[w]) & used_mask).bit_count()
             options.append((B * inc, 0 if w - vj == delta else 1, 0, w, inc))
         options.sort()
 
-        mask_j = masks[j]
-        for cost, shift_flag, _loss_flag, w, inc in options:
-            if base_total + cost > best_prefix[0]:
+        for cost, shift_flag, loss_flag, w, inc in options:
+            if base_total + cost > best[0]:
                 break  # options are cost-sorted; the rest only get worse
-            if w < 0:
-                images[j] = lost
-                search(rest, used_mask, losses + 1, violations, non_shift + 1)
-                images[j] = -1
-            else:
-                images[j] = w
-                bit = 1 << w
-                for i in rest:
-                    if mask_j >> verts[i] & 1:
-                        e_mask[i] |= bit
-                        e_count[i] += 1
-                    else:
-                        n_mask[i] |= bit
-                search(
-                    rest,
-                    used_mask | bit,
-                    losses,
-                    violations + inc,
-                    non_shift + shift_flag,
-                )
-                for i in rest:
-                    if mask_j >> verts[i] & 1:
-                        e_mask[i] &= ~bit
-                        e_count[i] -= 1
-                    else:
-                        n_mask[i] &= ~bit
-                images[j] = -1
+            images[j] = w
+            bit = 0 if loss_flag else 1 << w
+            for i in adjacent:
+                e_mask[i] ^= bit
+            search(rest, used_mask | bit, losses + loss_flag, violations + inc,
+                   non_shift + shift_flag)
+            for i in adjacent:
+                e_mask[i] ^= bit
 
     search(list(range(1, m)), 1 << target, 0, 0, 0)
-    if best_images is None:
+    _, _, losses, best_images, violations = best
+    if not best_images:
         return None
 
     order = sorted(range(m), key=lambda i: verts[i])
     domain = tuple(verts[i] for i in order)
     imgs = tuple(None if best_images[i] == lost else best_images[i] for i in order)
-    losses = best_key[2]
-    return Translation(domain, imgs), DeformationScore.of(losses, best_violations, alpha, beta)
+    return Translation(domain, imgs), DeformationScore.of(losses, violations, alpha, beta)
 
 
 def enumerate_translations_bruteforce(
@@ -474,7 +429,8 @@ def enumerate_translations_bruteforce(
         images[i] = None
 
     recurse(0, 0)
-    results.sort(key=lambda pair: (
-        A * pair[1].losses + B * pair[1].snp_violations, pair[1].losses, _seq_key(pair[0].images)
+    results.sort(key=lambda pair: (  # a lost image sorts as g.n, after every vertex id
+        A * pair[1].losses + B * pair[1].snp_violations, pair[1].losses,
+        tuple(g.n if w is None else w for w in pair[0].images),
     ))
     return results

@@ -58,6 +58,14 @@ class TestInferGraph:
         assert code == 2
         assert "k must be smaller" in capsys.readouterr().err
 
+    def test_non_finite_coordinate_exits_2(self, tmp_path, capsys):
+        (tmp_path / "c.csv").write_text("x,y\n0,0\nnan,1\n2,2\n", encoding="utf-8")
+        code = run_cli("infer-graph", "--coords", str(tmp_path / "c.csv"),
+                       "--k", "1", "--out", str(tmp_path / "g.edges"))
+        assert code == 2
+        assert capsys.readouterr().err == "error: line 3: coordinates must be finite, got 'nan,1'\n"
+        assert not (tmp_path / "g.edges").exists()
+
     def test_missing_file_exits_2(self, tmp_path, capsys):
         code = run_cli("infer-graph", "--coords", str(tmp_path / "nope.csv"),
                        "--k", "2", "--out", str(tmp_path / "g"))
@@ -299,6 +307,17 @@ class TestTrainCommand:
         assert err.count("\n") == 1
         assert not (tmp_path / "43.csv").exists()
 
+    def test_single_slot_map_exits_2(self, workdir, capsys):
+        g_path, p_path = workdir / "path.edges", workdir / "k1.placements"
+        assert run_cli("translate", "--graph", str(g_path), "--radius", "0",
+                       "--out", str(p_path)) == 0
+        capsys.readouterr()
+        code = run_cli("make-dataset", "--graph", str(g_path), "--placements", str(p_path),
+                       "--samples-per-class", "2", "--out", str(workdir / "d.csv"))
+        assert code == 2
+        assert capsys.readouterr().err == "error: templates need at least 2 kernel slots, got K=1\n"
+        assert not (workdir / "d.csv").exists()
+
     def test_same_seed_byte_identical_metrics(self, workdir):
         g_path, p_path, s_path = _build_grid_artifacts(workdir)
         train_csv, test_csv = self._make_data(workdir, g_path, p_path)
@@ -356,6 +375,20 @@ class TestTrainCommand:
         assert code == 2
         assert err == "error: line 4: label must be nonnegative, got -1\n"
         assert not (workdir / "m.csv").exists()
+
+    def test_non_finite_signal_exits_2(self, tmp_path, capsys):
+        (tmp_path / "s.scheme").write_text("2 1\n0 0 0\n1 1 0\n", encoding="utf-8")
+        self._write_separable(tmp_path / "d.csv", 2, 4, seed=0)
+        (tmp_path / "bad.csv").write_text("x0,x1,label\n0.5,1.0,0\n0.5,nan,1\n",
+                                          encoding="utf-8")
+        code = run_cli(
+            "train", "--scheme", str(tmp_path / "s.scheme"), "--epochs", "1",
+            "--train-data", str(tmp_path / "d.csv"), "--test-data", str(tmp_path / "bad.csv"),
+            "--metrics-out", str(tmp_path / "m.csv"),
+        )
+        assert code == 2
+        assert capsys.readouterr().err == "error: line 3: signal values must be finite, got 'nan'\n"
+        assert not (tmp_path / "m.csv").exists()
 
     @pytest.mark.parametrize("scheme, message", [
         ("2 2\n0 1 0\n0 0 1\n1 0 0\n1 1 1\n",

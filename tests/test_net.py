@@ -410,6 +410,11 @@ class TestSyntheticDataset:
         # placement at 0 is (0, lost, 1): slot1's value vanishes
         assert np.array_equal(ds.signals[0], np.array([1.0, 3.0, 0.0]))
 
+    def test_single_slot_templates_rejected(self):
+        # centering one slot leaves zeros, and normalizing them gives NaN
+        with pytest.raises(NetError, match="at least 2 kernel slots, got K=1"):
+            make_templates(2, 1, seed=0)
+
     def test_template_shape_checked(self, grid_setup_8x8):
         g, pm, _ = grid_setup_8x8
         with pytest.raises(NetError, match="templates"):
@@ -442,6 +447,13 @@ class TestDatasetCsv:
     def test_negative_label_rejected_with_line(self):
         with pytest.raises(DatasetFormatError, match="line 3: label must be nonnegative"):
             dataset_from_csv("x0,x1,label\n0.0,0.0,1\n0.5,0.0,-1\n")
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_signal_rejected_with_line(self, value):
+        text = f"x0,x1,label\n0.0,0.0,1\n# note\n0.5,{value},0\n"
+        with pytest.raises(DatasetFormatError,
+                           match=f"^line 4: signal values must be finite, got '{value}'$"):
+            dataset_from_csv(text)
 
     def test_dataset_rejects_negative_label(self):
         with pytest.raises(NetError, match="nonnegative"):

@@ -231,9 +231,12 @@ class TestSerialization:
         text = serialize_placements(pm)
         assert serialize_placements(parse_placements(text)) == text
 
-    def test_round_trip_equality_on_er(self):
+    @pytest.mark.parametrize("alpha, beta", [(1.0, 1.0), (1.0, 0.0)])
+    def test_round_trip_equality_on_er(self, alpha, beta):
+        # at beta == 0 the file's scores carry no pair counts, so the map in
+        # memory must not hold any either
         g = connected_er_graphs(1, 15, 0.3, 4000)[0]
-        pm = propagate(g, init_kernel(g, most_central_vertex(g)))
+        pm = propagate(g, init_kernel(g, most_central_vertex(g)), alpha, beta)
         assert parse_placements(serialize_placements(pm)) == pm
 
     def test_loss_symbol_renders(self, path3):

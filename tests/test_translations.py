@@ -257,6 +257,9 @@ class TestBruteForceOracle:
         results = enumerate_translations_bruteforce(k3, [0, 1, 2], 0, 1)
         totals = [s.total for _, s in results]
         assert totals == sorted(totals)
+        # equal scores order by image sequence, a lost image after every id
+        one_loss = [tr.images for tr, s in results if s.losses == 1]
+        assert one_loss == [(1, 0, None), (1, 2, None), (1, None, 0)]
 
     def test_every_result_is_valid(self):
         g = er_graph(6, 0.5, 12)
