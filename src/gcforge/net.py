@@ -399,6 +399,7 @@ class History:
         return "\n".join(lines) + "\n"
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite loss is reported below
 def train(model: Model, train_ds: Dataset, test_ds: Dataset, config: TrainConfig) -> History:
     """Minibatch SGD; deterministic given ``config.seed``."""
     if len(train_ds) == 0 or len(test_ds) == 0:

@@ -272,26 +272,27 @@ def find_local_translation(
     ) -> None:
         nonlocal best
         total = A * losses + B * violations
-        if total > best[0]:
-            return
-        if not unassigned:
+        if not unassigned:  # a lone center; a last open slot resolves in place below
             key = (total, non_shift, losses, tuple(images))
             if key < best[:4]:
                 best = (*key, violations)
             return
 
         # Admissible cascaded bound: every open slot pays at least its
-        # cheapest option, an option being a free neighbor
+        # lexicographically cheapest option, an option being a free neighbor
         # (cost B*conflicts, shift flag, survives) or the loss
         # (cost A, non-shifted, lost). Conflicts between two open slots
-        # are not counted, so every bound component only grows with depth,
-        # and at bound equality each component is forced slot-wise.
+        # are not counted. Deeper, a slot's option costs only rise and at
+        # an equal minimum its min-cost options are a subset of these, so
+        # the (total, shift, losses) tuple only grows lexicographically
+        # (a single component need not: a slot's shift flag can drop as
+        # its cost rises). The option cutoff below relies on this.
         bound_total = total
         bound_shift = non_shift
         bound_losses = losses
         branch_j = -1
         branch_sel = None
-        branch_min_c = 0
+        branch_min = (0, 0, 0)
         # slots whose cheapest option is an image compete for those images;
         # a max matching bounds how many can win at once (loss-cheap slots
         # are satisfied privately), and every loser pays at least the
@@ -335,7 +336,7 @@ def find_local_translation(
             # branch on the most expensive slot, then the most constrained
             sel = (-min_c, nfree, j)
             if branch_j < 0 or sel < branch_sel:
-                branch_j, branch_sel, branch_min_c = j, sel, min_c
+                branch_j, branch_sel, branch_min = j, sel, (min_c, min_s, min_l)
         if (bound_total, bound_shift, bound_losses) > best[:3]:
             return
         if len(contested) > 1:
@@ -348,8 +349,6 @@ def find_local_translation(
         j = branch_j
         vj, em, mask_j = verts[j], e_mask[j], masks[j]
         rest = [i for i in unassigned if i != j]
-        adjacent = [i for i in rest if mask_j >> verts[i] & 1]
-        base_total = bound_total - branch_min_c  # bound without j's share
 
         # (cost, shift flag, loss flag, image, broken pairs)
         options: list[tuple[int, int, int, int, int]] = [(A, 1, 1, lost, 0)]
@@ -360,11 +359,24 @@ def find_local_translation(
             free ^= low
             inc = ((em ^ nbr[w]) & used_mask).bit_count()
             options.append((B * inc, 0 if w - vj == delta else 1, 0, w, inc))
+        if not rest:  # the leaves differ only in slot j: the least option wins
+            cost, shift_flag, loss_flag, images[j], inc = min(options)
+            key = (total + cost, non_shift + shift_flag, losses + loss_flag, tuple(images))
+            if key < best[:4]:
+                best = (*key, violations + inc)
+            return
         options.sort()
+        adjacent = [i for i in rest if mask_j >> verts[i] & 1]
+        base_total = bound_total - branch_min[0]  # the bound without j's share
+        base_shift = bound_shift - branch_min[1]
+        base_losses = bound_losses - branch_min[2]
 
         for cost, shift_flag, loss_flag, w, inc in options:
-            if base_total + cost > best[0]:
-                break  # options are cost-sorted; the rest only get worse
+            # a child's bound tuple is >= this one, so the first option that
+            # loses to the incumbent ends the loop (the rest sort after it),
+            # and a child is only entered with total <= best[0]
+            if (base_total + cost, base_shift + shift_flag, base_losses + loss_flag) > best[:3]:
+                break
             images[j] = w
             bit = 0 if loss_flag else 1 << w
             for i in adjacent:

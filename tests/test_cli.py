@@ -408,6 +408,21 @@ class TestTrainCommand:
         assert capsys.readouterr().err == message
         assert not (tmp_path / "m.csv").exists()
 
+    def test_diverging_learning_rate_exits_2_with_one_line(self, tmp_path):
+        # numpy's overflow and invalid-value warnings would print before the
+        # error; a fresh process shows every stderr line the user sees
+        (tmp_path / "s.scheme").write_text("2 1\n0 0 0\n1 1 0\n", encoding="utf-8")
+        self._write_separable(tmp_path / "d.csv", 2, 4, seed=0)
+        r = subprocess.run(
+            [sys.executable, "-m", "gcforge.cli", "train", "--scheme", str(tmp_path / "s.scheme"),
+             "--train-data", str(tmp_path / "d.csv"), "--test-data", str(tmp_path / "d.csv"),
+             "--metrics-out", str(tmp_path / "m.csv"), "--lr", "1e308"],
+            capture_output=True, text=True,
+        )
+        assert r.returncode == 2
+        assert r.stderr == "error: loss diverged (non-finite) at epoch 1\n"
+        assert not (tmp_path / "m.csv").exists()
+
     def test_directory_as_metrics_out_exits_2(self, tmp_path, capsys):
         (tmp_path / "s.scheme").write_text("2 1\n0 0 0\n1 1 0\n", encoding="utf-8")
         self._write_separable(tmp_path / "d.csv", 2, 4, seed=0)

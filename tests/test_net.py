@@ -338,9 +338,8 @@ class TestTraining:
                 Dense(4, 2, rng=np.random.default_rng(2)),
             ]
         )
-        with np.errstate(all="ignore"):
-            with pytest.raises(DivergenceError, match="epoch"):
-                train(model, ds, ds, TrainConfig(lr=1e8, epochs=10, batch_size=8, seed=0))
+        with pytest.raises(DivergenceError, match="epoch"):
+            train(model, ds, ds, TrainConfig(lr=1e8, epochs=10, batch_size=8, seed=0))
 
     def test_empty_dataset_rejected(self):
         ds = self._separable_toy(seed=0)

@@ -5,7 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from gcforge.graph import Graph, grid_graph, is_connected
 from gcforge.propagation import init_kernel
@@ -354,18 +354,54 @@ def search_cases(draw):
     return g, KernelPlacement(center, tuple(slots), ZERO_SCORE), target
 
 
+@st.composite
+def deep_search_cases(draw):
+    """A random connected graph on 8 to 10 vertices (a random tree plus a
+    few extra edges), a placement of 7 to 9 live slots at one vertex and up
+    to 2 lost ones, and a neighbor of that vertex as the target: the search
+    branches and cuts options several levels deep."""
+    n = draw(st.integers(8, 10))
+    edges = [(draw(st.integers(0, v - 1)), v) for v in range(1, n)]
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    edges += [(u, v) for u, v in draw(st.lists(pairs, max_size=n)) if u != v]
+    g = Graph(n, edges)
+    center = draw(st.integers(0, n - 1))
+    target = draw(st.sampled_from(g.neighbors(center)))
+    others = draw(st.permutations([w for w in range(n) if w != center]))
+    others = others[: draw(st.integers(6, 8))] + [None] * draw(st.integers(0, 2))
+    slots = [center] + draw(st.permutations(others))
+    return g, KernelPlacement(center, tuple(slots), ZERO_SCORE), target
+
+
 WEIGHTS = st.sampled_from([0, 1, 2, 3, 0.1, 0.3, 0.7, 0.8, 1.79, 2.5])
+
+
+def _check_search_against_oracle(case, alpha, beta, below):
+    """The unbudgeted search returns the oracle's winner; with the winner's
+    exact total as budget it still does, and half a cost unit below that
+    total (costs are multiples of 1/scale) it returns None."""
+    g, p, target = case
+    domain = [v for v in p.slots if v is not None]
+    oracle = enumerate_translations_bruteforce(g, domain, p.center, target, alpha, beta)
+    winner = min(oracle, key=_documented_order(p, target, alpha, beta))
+    assert find_local_translation(g, p, target, alpha, beta) == winner
+    budget = Fraction(alpha) * winner[1].losses + Fraction(beta) * winner[1].snp_violations
+    if below:
+        budget -= Fraction(1, 2 * exact_weights(alpha, beta)[2])
+    expected = None if below else winner
+    assert find_local_translation(g, p, target, alpha, beta, budget) == expected
 
 
 class TestSearchAgainstOracleProperty:
     @PROFILE
-    @given(search_cases(), WEIGHTS, WEIGHTS)
-    def test_search_returns_the_oracle_winner(self, case, alpha, beta):
-        g, p, target = case
-        domain = [v for v in p.slots if v is not None]
-        oracle = enumerate_translations_bruteforce(g, domain, p.center, target, alpha, beta)
-        winner = min(oracle, key=_documented_order(p, target, alpha, beta))
-        assert find_local_translation(g, p, target, alpha, beta) == winner
+    @given(search_cases(), WEIGHTS, WEIGHTS, st.booleans())
+    def test_search_returns_the_oracle_winner(self, case, alpha, beta, below):
+        _check_search_against_oracle(case, alpha, beta, below)
+
+    @settings(PROFILE, max_examples=300)
+    @given(deep_search_cases(), WEIGHTS, WEIGHTS, st.booleans())
+    def test_deep_search_returns_the_oracle_winner(self, case, alpha, beta, below):
+        _check_search_against_oracle(case, alpha, beta, below)
 
     def test_fractional_weight_tie(self):
         # ten maps tie at the minimum, 1 loss and 2 broken pairs; float sums
