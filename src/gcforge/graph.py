@@ -174,10 +174,18 @@ def dump_edge_list(g: Graph) -> str:
     return "\n".join(out) + "\n"
 
 
+def _is_number(field: str) -> bool:
+    try:
+        float(field)
+    except ValueError:
+        return False
+    return True
+
+
 def load_coordinates(text: str) -> CoordinateSet:
     """Parse coordinate CSV text: one row per vertex, d numeric columns.
 
-    An optional header row is detected by a non-numeric first field.
+    The first row is a header when none of its fields parses as a number.
     """
     rows: list[list[float]] = []
     width: int | None = None
@@ -186,9 +194,7 @@ def load_coordinates(text: str) -> CoordinateSet:
         fields = [f.strip() for f in line.split(",")]
         if not first_seen:
             first_seen = True
-            try:
-                float(fields[0])
-            except ValueError:
+            if not any(map(_is_number, fields)):
                 continue  # header row
         try:
             row = [float(f) for f in fields]

@@ -48,6 +48,8 @@ def _distance_sums(g: Graph) -> list[int]:
     distance is symmetric, so summing ``d`` over the sources that first reach
     ``v`` at level ``d`` gives ``v``'s own distance sum.
     """
+    if g.n == 0:
+        raise ParameterError("empty graph has no centrality")
     adj = [g.neighbors(v) for v in range(g.n)]
     reach = [1 << v for v in range(g.n)]
     frontier = list(reach)
@@ -72,8 +74,6 @@ def _distance_sums(g: Graph) -> list[int]:
 
 def closeness_centrality(g: Graph) -> list[float]:
     """Inverse of each vertex's summed hop distance to all others."""
-    if g.n == 0:
-        raise ParameterError("empty graph has no centrality")
     sums = _distance_sums(g)
     return [math.inf] if g.n == 1 else [1.0 / s for s in sums]
 
@@ -82,7 +82,7 @@ def most_central_vertex(g: Graph) -> int:
     """Vertex with the highest closeness; ties go to the smallest id."""
     sums = _distance_sums(g)
     # integer sums dodge float equality; min keeps the smallest tied id
-    return min(range(g.n), key=sums.__getitem__, default=0)
+    return min(range(g.n), key=sums.__getitem__)
 
 
 def init_kernel(g: Graph, center: int, radius: int = 1) -> KernelPlacement:
@@ -155,6 +155,8 @@ def propagate(
 def refine(g: Graph, pm: PlacementMap) -> PlacementMap:
     """Re-run the relaxation from an existing map; a settled map is a fixed
     point, so refining it returns an equal map."""
+    if pm.n != g.n:
+        raise ParameterError(f"placement map has {pm.n} vertices but the graph has {g.n}")
     out = PlacementMap(
         n=pm.n, k=pm.k, seed=pm.seed, alpha=pm.alpha, beta=pm.beta,
         placements=dict(pm.placements),

@@ -248,10 +248,8 @@ def find_local_translation(
     lost = g.n  # sentinel image; conveniently orders after every vertex id
     delta = target - center
     nbr = g.neighbor_masks
-    masks = [nbr[v] for v in verts]
 
-    INF = float("inf")
-    best = (limit, INF, INF, (), 0)  # (cost, non_shift, losses, images, violations)
+    best = (limit, math.inf, math.inf, (), 0)  # (cost, non_shift, losses, images, violations)
     images = [-1] * m
     images[0] = target
 
@@ -261,7 +259,10 @@ def find_local_translation(
     # disagrees with w's, ((e_mask[j] ^ nbr[w]) & used_mask).bit_count(),
     # edges lost plus non-edges gained. Assigning slot j flips its image
     # bit in the masks of the open slots adjacent to verts[j].
-    e_mask = [1 << target if masks[0] >> v & 1 else 0 for v in verts]
+    e_mask = [1 << target if nbr[center] >> v & 1 else 0 for v in verts]
+    # per slot, every candidate (w, 1 << w, nbr[w], shift flag), fixed for the call
+    cands = [[(w, 1 << w, nbr[w], 0 if w - v == delta else 1) for w in g.neighbors(v)]
+             for v in verts]
 
     def search(
         unassigned: list[int],
@@ -290,27 +291,24 @@ def find_local_translation(
         bound_total = total
         bound_shift = non_shift
         bound_losses = losses
-        branch_j = -1
-        branch_sel = None
-        branch_min = (0, 0, 0)
+        branch = None  # (selection key, slot, its minimum, its options)
         # slots whose cheapest option is an image compete for those images;
         # a max matching bounds how many can win at once (loss-cheap slots
         # are satisfied privately), and every loser pays at least the
         # smallest cost step above a row minimum
         contested: list[tuple[int, int]] = []  # (zero-cost image mask, step)
         for j in unassigned:
-            vj = verts[j]
             em = e_mask[j]
+            options = [(A, 1, 1, lost, 0)]  # (cost, shift flag, loss flag, image, pairs)
             min_c, min_s, min_l = A, 1, 1  # the loss option
             zero_imgs = 0
-            min2 = INF
-            free = masks[j] & ~used_mask
-            nfree = free.bit_count()
-            while free:
-                low = free & -free
-                w = low.bit_length() - 1
-                free ^= low
-                c = B * ((em ^ nbr[w]) & used_mask).bit_count()
+            min2 = math.inf
+            for w, bit, nw, s in cands[j]:
+                if used_mask & bit:
+                    continue
+                inc = ((em ^ nw) & used_mask).bit_count()
+                c = B * inc
+                options.append((c, s, 0, w, inc))
                 if c > min_c:
                     if c < min2:
                         min2 = c
@@ -318,12 +316,10 @@ def find_local_translation(
                 if c < min_c:
                     if min_c < min2:
                         min2 = min_c
-                    zero_imgs = low
-                    s = 0 if w - vj == delta else 1
+                    zero_imgs = bit
                     min_c, min_s, min_l = c, s, 0
                     continue
-                zero_imgs |= low
-                s = 0 if w - vj == delta else 1
+                zero_imgs |= bit
                 if s < min_s or (s == min_s and min_l):
                     min_s, min_l = s, 0
             bound_total += min_c
@@ -334,9 +330,9 @@ def find_local_translation(
             if min_c < A and zero_imgs:
                 contested.append((zero_imgs, min(min2, A) - min_c))
             # branch on the most expensive slot, then the most constrained
-            sel = (-min_c, nfree, j)
-            if branch_j < 0 or sel < branch_sel:
-                branch_j, branch_sel, branch_min = j, sel, (min_c, min_s, min_l)
+            sel = (-min_c, len(options), j)
+            if branch is None or sel < branch[0]:
+                branch = (sel, j, (min_c, min_s, min_l), options)
         if (bound_total, bound_shift, bound_losses) > best[:3]:
             return
         if len(contested) > 1:
@@ -346,19 +342,8 @@ def find_local_translation(
                 if bound_total + sum(steps[:unmatched]) > best[0]:
                     return
 
-        j = branch_j
-        vj, em, mask_j = verts[j], e_mask[j], masks[j]
+        _, j, (min_c, min_s, min_l), options = branch
         rest = [i for i in unassigned if i != j]
-
-        # (cost, shift flag, loss flag, image, broken pairs)
-        options: list[tuple[int, int, int, int, int]] = [(A, 1, 1, lost, 0)]
-        free = mask_j & ~used_mask
-        while free:
-            low = free & -free
-            w = low.bit_length() - 1
-            free ^= low
-            inc = ((em ^ nbr[w]) & used_mask).bit_count()
-            options.append((B * inc, 0 if w - vj == delta else 1, 0, w, inc))
         if not rest:  # the leaves differ only in slot j: the least option wins
             cost, shift_flag, loss_flag, images[j], inc = min(options)
             key = (total + cost, non_shift + shift_flag, losses + loss_flag, tuple(images))
@@ -366,10 +351,11 @@ def find_local_translation(
                 best = (*key, violations + inc)
             return
         options.sort()
+        mask_j = nbr[verts[j]]
         adjacent = [i for i in rest if mask_j >> verts[i] & 1]
-        base_total = bound_total - branch_min[0]  # the bound without j's share
-        base_shift = bound_shift - branch_min[1]
-        base_losses = bound_losses - branch_min[2]
+        base_total = bound_total - min_c  # the bound without j's share
+        base_shift = bound_shift - min_s
+        base_losses = bound_losses - min_l
 
         for cost, shift_flag, loss_flag, w, inc in options:
             # a child's bound tuple is >= this one, so the first option that

@@ -66,6 +66,14 @@ class TestInferGraph:
         assert capsys.readouterr().err == "error: line 3: coordinates must be finite, got 'nan,1'\n"
         assert not (tmp_path / "g.edges").exists()
 
+    def test_malformed_first_row_exits_2(self, tmp_path, capsys):
+        (tmp_path / "c.csv").write_text("0.1x,0.2\n0.3,0.4\n0.5,0.6\n0.7,0.8\n", encoding="utf-8")
+        code = run_cli("infer-graph", "--coords", str(tmp_path / "c.csv"),
+                       "--k", "1", "--out", str(tmp_path / "g.edges"))
+        assert code == 2
+        assert capsys.readouterr().err == "error: line 1: non-numeric field in '0.1x,0.2'\n"
+        assert not (tmp_path / "g.edges").exists()
+
     def test_missing_file_exits_2(self, tmp_path, capsys):
         code = run_cli("infer-graph", "--coords", str(tmp_path / "nope.csv"),
                        "--k", "2", "--out", str(tmp_path / "g"))
@@ -106,6 +114,14 @@ class TestTranslate:
                        "--out", str(tmp_path / "p.txt"))
         assert code == 2
         assert "not connected" in capsys.readouterr().err
+
+    def test_empty_graph_exits_2(self, tmp_path, capsys):
+        (tmp_path / "e.edges").write_text("0\n", encoding="utf-8")
+        code = run_cli("translate", "--graph", str(tmp_path / "e.edges"),
+                       "--out", str(tmp_path / "p.txt"))
+        assert code == 2
+        assert capsys.readouterr().err == "error: empty graph has no centrality\n"
+        assert not (tmp_path / "p.txt").exists()
 
     def test_disconnected_with_seed_vertex_exits_2(self, tmp_path, capsys):
         # the seed skips centrality, so propagation is what must refuse

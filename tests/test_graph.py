@@ -143,6 +143,10 @@ class TestCoordinates:
         c = load_coordinates("x,y\n0,0\n1,2\n")
         assert c.n == 2 and c.dim == 2
 
+    def test_first_row_with_one_numeric_field_is_data(self):
+        with pytest.raises(GraphError, match="line 1: non-numeric field in '0.1x,0.2'"):
+            load_coordinates("0.1x,0.2\n0.3,0.4\n0.5,0.6\n0.7,0.8\n")
+
     def test_no_header(self):
         c = load_coordinates("0.5,1.5\n2.5,3.5\n")
         assert c.points[1, 1] == 3.5

@@ -65,6 +65,11 @@ class TestCentrality:
         g = Graph(4, [(3, 0), (3, 1), (3, 2)])
         assert most_central_vertex(g) == 3
 
+    @pytest.mark.parametrize("centrality", [closeness_centrality, most_central_vertex])
+    def test_empty_graph_rejected(self, centrality):
+        with pytest.raises(ParameterError, match="empty graph has no centrality"):
+            centrality(Graph(0, []))
+
 
 def _centrality_graphs():
     cloud = np.random.default_rng(42).random((64, 2))
@@ -171,6 +176,12 @@ class TestPropagate:
         for g in connected_er_graphs(2, 20, 0.2, 2000):
             pm = propagate(g, init_kernel(g, most_central_vertex(g)))
             assert refine(g, pm) == pm
+
+    def test_refine_rejects_another_graphs_map(self):
+        big, small = connected_er_graphs(1, 20, 0.2, 2000)[0], grid_graph(3, 3)
+        pm = propagate(big, init_kernel(big, most_central_vertex(big)))
+        with pytest.raises(ParameterError, match="20 vertices but the graph has 9"):
+            refine(small, pm)
 
     def test_fresh_processes_agree(self):
         # each run starts a new interpreter with its own string-hash seed, so
