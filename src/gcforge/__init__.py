@@ -22,6 +22,7 @@ from .translations import (
     DeformationScore,
     DomainSizeError,
     KernelPlacement,
+    SearchStats,
     Translation,
     deformation_score,
     enumerate_translations_bruteforce,

@@ -8,6 +8,7 @@ downstream algorithms are deterministic.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -133,6 +134,10 @@ def _significant_lines(text: str) -> Iterable[tuple[int, str]]:
         yield i, line
 
 
+# an ASCII decimal integer; int() alone also takes "1_0" and non-ASCII digits
+_INTEGER = re.compile(r"[+-]?[0-9]+")
+
+
 def load_edge_list(text: str) -> Graph:
     """Parse edge-list text: first line ``n``, then ``u v`` lines.
 
@@ -144,7 +149,7 @@ def load_edge_list(text: str) -> Graph:
     except StopIteration:
         raise EdgeListFormatError("empty input: missing vertex count") from None
     parts = header.split()
-    if len(parts) != 1 or not parts[0].lstrip("-").isdigit():
+    if len(parts) != 1 or not _INTEGER.fullmatch(parts[0]):
         raise EdgeListFormatError(f"expected a single vertex count, got {header!r}", line_no)
     n = int(parts[0])
     if n < 0:
@@ -155,10 +160,9 @@ def load_edge_list(text: str) -> Graph:
         fields = line.split()
         if len(fields) != 2:
             raise EdgeListFormatError(f"expected 'u v', got {line!r}", line_no)
-        try:
-            u, v = int(fields[0]), int(fields[1])
-        except ValueError:
-            raise EdgeListFormatError(f"non-integer vertex id in {line!r}", line_no) from None
+        if not all(_INTEGER.fullmatch(f) for f in fields):
+            raise EdgeListFormatError(f"non-integer vertex id in {line!r}", line_no)
+        u, v = int(fields[0]), int(fields[1])
         if u == v:
             raise EdgeListFormatError(f"self-loop at vertex {u}", line_no)
         if not (0 <= u < n) or not (0 <= v < n):

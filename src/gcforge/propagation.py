@@ -29,6 +29,7 @@ from .translations import (
     LOSS_TEXT,
     DeformationScore,
     KernelPlacement,
+    SearchStats,
     ZERO_SCORE,
     TranslationError,
     exact_weights,
@@ -115,11 +116,12 @@ class PlacementMap:
 
 
 def _step(
-    g: Graph, source: KernelPlacement, target: int, alpha: float, beta: float, budget: float
+    g: Graph, source: KernelPlacement, target: int, alpha: float, beta: float, budget: float,
+    stats: SearchStats | None,
 ) -> KernelPlacement | None:
     """Apply the best local translation of ``source`` onto ``target``, or
     return ``None`` if every translation scores above ``budget``."""
-    found = find_local_translation(g, source, target, alpha, beta, budget)
+    found = find_local_translation(g, source, target, alpha, beta, budget, stats=stats)
     if found is None:
         return None
     t, step = found
@@ -140,19 +142,21 @@ def propagate(
     seed_kernel: KernelPlacement,
     alpha: float = 1.0,
     beta: float = 1.0,
+    stats: SearchStats | None = None,
 ) -> PlacementMap:
-    """Best-first propagation of the seed kernel to every vertex."""
+    """Best-first propagation of the seed kernel to every vertex; ``stats``,
+    when given, gains the counters of every search."""
     if not is_connected(g):
         raise ConnectivityError("graph is not connected, so propagation cannot reach every vertex")
     pm = PlacementMap(
         n=g.n, k=seed_kernel.k, seed=seed_kernel.center, alpha=alpha, beta=beta,
         placements={seed_kernel.center: seed_kernel},
     )
-    _settle(g, pm)
+    _settle(g, pm, stats)
     return pm
 
 
-def refine(g: Graph, pm: PlacementMap) -> PlacementMap:
+def refine(g: Graph, pm: PlacementMap, stats: SearchStats | None = None) -> PlacementMap:
     """Re-run the relaxation from an existing map; a settled map is a fixed
     point, so refining it returns an equal map."""
     if pm.n != g.n:
@@ -161,11 +165,11 @@ def refine(g: Graph, pm: PlacementMap) -> PlacementMap:
         n=pm.n, k=pm.k, seed=pm.seed, alpha=pm.alpha, beta=pm.beta,
         placements=dict(pm.placements),
     )
-    _settle(g, out)
+    _settle(g, out, stats)
     return out
 
 
-def _settle(g: Graph, pm: PlacementMap) -> None:
+def _settle(g: Graph, pm: PlacementMap, stats: SearchStats | None) -> None:
     A, B, scale = exact_weights(pm.alpha, pm.beta)
 
     def key(p: KernelPlacement) -> tuple:
@@ -190,11 +194,13 @@ def _settle(g: Graph, pm: PlacementMap) -> None:
                 bar = key(incumbent)
                 # a step only adds cost and never resurrects lost slots, so an
                 # incumbent ahead on (cost, losses) is unbeatable from here,
-                # and a step above the cost difference cannot win
+                # and a step above the cost difference cannot win; nor can
+                # one at exactly the difference when the incumbent has fewer
+                # losses (then it is ahead on cost too, so the gap is >= 1)
                 if bar[:2] < tuple(here[:2]):
                     continue
-                budget = Fraction(bar[0] - here[0], scale)
-            candidate = _step(g, placement, t, pm.alpha, pm.beta, budget)
+                budget = Fraction(bar[0] - here[0] - (bar[1] < here[1]), scale)
+            candidate = _step(g, placement, t, pm.alpha, pm.beta, budget, stats)
             if candidate is None:
                 continue  # no translation fits the incumbent's budget
             if incumbent is None or key(candidate) < bar:

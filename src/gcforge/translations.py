@@ -196,6 +196,16 @@ def _max_bit_matching(masks: list[int]) -> int:
     return sum(1 for i in range(len(masks)) if try_row(i, set()))
 
 
+@dataclass
+class SearchStats:
+    """Counters that :func:`find_local_translation` adds to when given one:
+    search nodes expanded, and searches that returned ``None`` because no
+    map fit the budget."""
+
+    nodes: int = 0
+    none_results: int = 0
+
+
 def find_local_translation(
     g: Graph,
     placement: KernelPlacement,
@@ -203,6 +213,8 @@ def find_local_translation(
     alpha: float = 1.0,
     beta: float = 1.0,
     budget: float = math.inf,
+    *,
+    stats: SearchStats | None = None,
 ) -> tuple[Translation, DeformationScore] | None:
     """Cheapest translation of a kernel placement onto a neighboring center.
 
@@ -233,6 +245,8 @@ def find_local_translation(
     the same one an unbounded search returns, ties included. The default
     (infinity) always finds a map, because losing every slot but the
     center is always feasible.
+
+    ``stats``, when given, gains this call's node count and ``None`` result.
     """
     A, B, scale = exact_weights(alpha, beta)
     if math.isnan(budget):
@@ -250,6 +264,10 @@ def find_local_translation(
     nbr = g.neighbor_masks
 
     best = (limit, math.inf, math.inf, (), 0)  # (cost, non_shift, losses, images, violations)
+    nodes = 0
+    # an open slot reads -1, before every vertex id and the lost sentinel, so
+    # tuple(images) > best[3] holds exactly when the first slot that differs
+    # from the incumbent is assigned and carries a greater image
     images = [-1] * m
     images[0] = target
 
@@ -271,7 +289,8 @@ def find_local_translation(
         violations: int,
         non_shift: int,
     ) -> None:
-        nonlocal best
+        nonlocal best, nodes
+        nodes += 1
         total = A * losses + B * violations
         if not unassigned:  # a lone center; a last open slot resolves in place below
             key = (total, non_shift, losses, tuple(images))
@@ -287,11 +306,16 @@ def find_local_translation(
         # an equal minimum its min-cost options are a subset of these, so
         # the (total, shift, losses) tuple only grows lexicographically
         # (a single component need not: a slot's shift flag can drop as
-        # its cost rises). The option cutoff below relies on this.
+        # its cost rises). The option cutoff below relies on this, and so
+        # do the tie cuts: a node or child whose bound tuple equals the
+        # incumbent's is cut when its assigned image prefix already loses
+        # the image tie-break, and such a node branches on its lowest open
+        # slot, so that the prefix grows and the cut fires sooner.
         bound_total = total
         bound_shift = non_shift
         bound_losses = losses
         branch = None  # (selection key, slot, its minimum, its options)
+        first = None  # (slot, its minimum, its options) of the lowest open slot
         # slots whose cheapest option is an image compete for those images;
         # a max matching bounds how many can win at once (loss-cheap slots
         # are satisfied privately), and every loser pays at least the
@@ -329,11 +353,17 @@ def find_local_translation(
             # for images; losers pay at least the next cost level up
             if min_c < A and zero_imgs:
                 contested.append((zero_imgs, min(min2, A) - min_c))
+            if first is None:
+                first = (j, (min_c, min_s, min_l), options)
             # branch on the most expensive slot, then the most constrained
             sel = (-min_c, len(options), j)
             if branch is None or sel < branch[0]:
                 branch = (sel, j, (min_c, min_s, min_l), options)
-        if (bound_total, bound_shift, bound_losses) > best[:3]:
+        bound = (bound_total, bound_shift, bound_losses)
+        if bound > best[:3]:
+            return
+        tied = bound == best[:3]
+        if tied and tuple(images) > best[3]:
             return
         if len(contested) > 1:
             unmatched = len(contested) - _max_bit_matching([m_ for m_, _ in contested])
@@ -342,11 +372,12 @@ def find_local_translation(
                 if bound_total + sum(steps[:unmatched]) > best[0]:
                     return
 
-        _, j, (min_c, min_s, min_l), options = branch
+        j, (min_c, min_s, min_l), options = first if tied else branch[1:]
         rest = [i for i in unassigned if i != j]
         if not rest:  # the leaves differ only in slot j: the least option wins
             cost, shift_flag, loss_flag, images[j], inc = min(options)
             key = (total + cost, non_shift + shift_flag, losses + loss_flag, tuple(images))
+            images[j] = -1
             if key < best[:4]:
                 best = (*key, violations + inc)
             return
@@ -359,11 +390,15 @@ def find_local_translation(
 
         for cost, shift_flag, loss_flag, w, inc in options:
             # a child's bound tuple is >= this one, so the first option that
-            # loses to the incumbent ends the loop (the rest sort after it),
-            # and a child is only entered with total <= best[0]
-            if (base_total + cost, base_shift + shift_flag, base_losses + loss_flag) > best[:3]:
+            # loses to the incumbent ends the loop (the rest sort after it,
+            # at a greater tuple or at an equal one with a greater image in
+            # slot j), and a child is only entered with total <= best[0]
+            child = (base_total + cost, base_shift + shift_flag, base_losses + loss_flag)
+            if child > best[:3]:
                 break
             images[j] = w
+            if child == best[:3] and tuple(images) > best[3]:
+                break
             bit = 0 if loss_flag else 1 << w
             for i in adjacent:
                 e_mask[i] ^= bit
@@ -371,9 +406,13 @@ def find_local_translation(
                    non_shift + shift_flag)
             for i in adjacent:
                 e_mask[i] ^= bit
+        images[j] = -1
 
     search(list(range(1, m)), 1 << target, 0, 0, 0)
     _, _, losses, best_images, violations = best
+    if stats is not None:
+        stats.nodes += nodes
+        stats.none_results += not best_images
     if not best_images:
         return None
 

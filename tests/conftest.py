@@ -31,6 +31,17 @@ def complete_graph(n: int) -> Graph:
     return Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
 
 
+def torus_graph(rows: int, cols: int) -> Graph:
+    """Row-major rows x cols grid whose rows and columns wrap around."""
+    edges = set()
+    for r in range(rows):
+        for c in range(cols):
+            v = r * cols + c
+            for w in (r * cols + (c + 1) % cols, (r + 1) % rows * cols + c):
+                edges.add((min(v, w), max(v, w)))
+    return Graph(rows * cols, sorted(edges))
+
+
 def er_graph(n: int, p: float, seed: int) -> Graph:
     r = random.Random(seed)
     return Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if r.random() < p])

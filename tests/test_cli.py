@@ -133,6 +133,20 @@ class TestTranslate:
         assert "not connected" in err and err.count("\n") == 1
         assert not (tmp_path / "p.txt").exists()
 
+    @pytest.mark.parametrize("text, line", [
+        ("--5\n", 1), ("²\n", 1), ("3²\n", 1), ("٣\n", 1),
+        ("11\n1_0 2\n", 2), ("4\n0 1\n٣ 0\n", 3), ("3\n0 ²\n", 2),
+    ], ids=["header--5", "header-sup2", "header-3sup2", "header-arabic3",
+            "edge-1_0", "edge-arabic3", "edge-sup2"])
+    def test_malformed_integer_exits_2(self, tmp_path, capsys, text, line):
+        # int() takes "1_0" and "٣" (as 10 and 3) but not "--5" or "²"
+        (tmp_path / "bad.edges").write_text(text, encoding="utf-8")
+        code = run_cli("translate", "--graph", str(tmp_path / "bad.edges"),
+                       "--out", str(tmp_path / "p.txt"))
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"error: line {line}: ") and err.count("\n") == 1
+
     @pytest.mark.parametrize("flag, value", [("--alpha", "nan"), ("--beta", "inf")])
     def test_non_finite_weight_exits_2(self, workdir, capsys, flag, value):
         out = workdir / "p.txt"

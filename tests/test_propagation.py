@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 import gcforge
-from gcforge import propagation
 from gcforge.graph import (
     ConnectivityError,
     CoordinateSet,
@@ -33,7 +32,7 @@ from gcforge.propagation import (
     refine,
     serialize_placements,
 )
-from gcforge.translations import KernelPlacement, TranslationError, ZERO_SCORE
+from gcforge.translations import KernelPlacement, SearchStats, TranslationError, ZERO_SCORE
 
 from conftest import ER50_SHA256, connected_er_graphs, path_graph, star_graph
 
@@ -175,7 +174,9 @@ class TestPropagate:
     def test_refine_is_identity_on_output(self):
         for g in connected_er_graphs(2, 20, 0.2, 2000):
             pm = propagate(g, init_kernel(g, most_central_vertex(g)))
-            assert refine(g, pm) == pm
+            stats = SearchStats()
+            assert refine(g, pm, stats) == pm
+            assert stats.nodes > 0
 
     def test_refine_rejects_another_graphs_map(self):
         big, small = connected_er_graphs(1, 20, 0.2, 2000)[0], grid_graph(3, 3)
@@ -307,8 +308,8 @@ ER_REFERENCE = {
 }
 
 
-def _placements_sha(g, alpha=1.0, beta=1.0):
-    pm = propagate(g, init_kernel(g, most_central_vertex(g)), alpha, beta)
+def _placements_sha(g, alpha=1.0, beta=1.0, stats=None):
+    pm = propagate(g, init_kernel(g, most_central_vertex(g)), alpha, beta, stats)
     return hashlib.sha256(serialize_placements(pm).encode("utf-8")).hexdigest()
 
 
@@ -332,17 +333,18 @@ class TestBudgetedSearch:
         assert slots(0.1, 0.2) == slots(1.0, 2.0)
         assert slots(0.3, 0.6) == slots(1.0, 2.0)
 
-    def test_budget_prunes_without_changing_the_map(self, monkeypatch):
-        outcomes = []
-        search = propagation.find_local_translation
-
-        def counting(*args, **kwargs):
-            found = search(*args, **kwargs)
-            outcomes.append(found is None)
-            return found
-
-        monkeypatch.setattr(propagation, "find_local_translation", counting)
+    def test_budget_prunes_without_changing_the_map(self):
         g = connected_er_graphs(1, 50, 0.1, base_seed=9000)[0]
-        assert _placements_sha(g) == ER50_SHA256[0]
-        assert any(outcomes), "no search was cut off by its budget"
-        assert not all(outcomes)
+        stats = SearchStats()
+        assert _placements_sha(g, stats=stats) == ER50_SHA256[0]
+        assert stats.none_results > 0, "no search was cut off by its budget"
+
+    def test_search_node_totals(self):
+        # exact counts of search nodes over propagate on the three er-tail
+        # graphs: a weaker prune raises them, a wrong one usually moves them
+        totals = []
+        for g in connected_er_graphs(3, 50, 0.1, base_seed=9000):
+            stats = SearchStats()
+            propagate(g, init_kernel(g, most_central_vertex(g)), stats=stats)
+            totals.append(stats.nodes)
+        assert totals == [61_364, 41_788, 250_738]

@@ -35,6 +35,7 @@ from conftest import (
     oracle_placements,
     path_graph,
     star_graph,
+    torus_graph,
 )
 
 
@@ -376,14 +377,18 @@ def deep_search_cases(draw):
 WEIGHTS = st.sampled_from([0, 1, 2, 3, 0.1, 0.3, 0.7, 0.8, 1.79, 2.5])
 
 
-def _check_search_against_oracle(case, alpha, beta, below):
+def _check_search_against_oracle(case, alpha, beta, below, oracle=None):
     """The unbudgeted search returns the oracle's winner; with the winner's
     exact total as budget it still does, and half a cost unit below that
-    total (costs are multiples of 1/scale) it returns None."""
+    total (costs are multiples of 1/scale) it returns None. ``oracle``, the
+    case's brute-force list scored at any weights, lets several weights
+    share one enumeration."""
     g, p, target = case
-    domain = [v for v in p.slots if v is not None]
-    oracle = enumerate_translations_bruteforce(g, domain, p.center, target, alpha, beta)
-    winner = min(oracle, key=_documented_order(p, target, alpha, beta))
+    if oracle is None:
+        domain = [v for v in p.slots if v is not None]
+        oracle = enumerate_translations_bruteforce(g, domain, p.center, target, alpha, beta)
+    tr, score = min(oracle, key=_documented_order(p, target, alpha, beta))
+    winner = tr, DeformationScore.of(score.losses, score.snp_violations, alpha, beta)
     assert find_local_translation(g, p, target, alpha, beta) == winner
     budget = Fraction(alpha) * winner[1].losses + Fraction(beta) * winner[1].snp_violations
     if below:
@@ -402,6 +407,22 @@ class TestSearchAgainstOracleProperty:
     @given(deep_search_cases(), WEIGHTS, WEIGHTS, st.booleans())
     def test_deep_search_returns_the_oracle_winner(self, case, alpha, beta, below):
         _check_search_against_oracle(case, alpha, beta, below)
+
+    @pytest.mark.parametrize("g, radius", [
+        (cycle_graph(8), 1), (cycle_graph(8), 2), (torus_graph(4, 4), 1),
+    ], ids=["cycle8-r1", "cycle8-r2", "torus4x4-r1"])
+    def test_vertex_transitive_ties(self, g, radius):
+        # every center looks alike, so maps tie on cost, shifts and losses
+        # at nearly every node and the image tie-break decides; the 4x4
+        # torus's radius-2 kernel is left out, as its 11 slots give the
+        # oracle ~0.9 M maps (~27 s) per target
+        for v in range(g.n):
+            p = init_kernel(g, v, radius)
+            for target in g.neighbors(v):
+                oracle = enumerate_translations_bruteforce(g, p.slots, v, target)
+                for alpha, beta in ((1.0, 1.0), (0.0, 1.0), (1.0, 0.0)):
+                    for below in (False, True):
+                        _check_search_against_oracle((g, p, target), alpha, beta, below, oracle)
 
     def test_fractional_weight_tie(self):
         # ten maps tie at the minimum, 1 loss and 2 broken pairs; float sums

@@ -1,0 +1,179 @@
+"""Mutation check for the translation search and its callers.
+
+Each mutant is one textual edit of a source file. The script copies
+``src/``, ``tests/`` and ``pyproject.toml`` into a temporary directory,
+applies one mutant at a time there (the working tree is never touched),
+runs the mutant's tests with ``pytest -x`` and prints the first test that
+fails, or ``SURVIVED``. It exits 1 if any mutant survives.
+
+    python tools/mutants.py            # every mutant
+    python tools/mutants.py NAME ...   # the named ones
+
+A rule that prunes the search is exact only if some test fails when the
+rule is made slightly wrong; a PR that adds a rule adds its mutants here.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from dataclasses import dataclass
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+TRANSLATIONS = "src/gcforge/translations.py"
+PROPAGATION = "src/gcforge/propagation.py"
+# fast tests first, so most mutants die within seconds
+SEARCH_TESTS = (
+    "tests/test_translations.py",
+    "tests/test_acceptance.py::test_oracle_equivalence",
+    "tests/test_propagation.py",
+)
+TIMEOUT_S = 1800
+
+
+@dataclass(frozen=True)
+class Mutant:
+    name: str
+    path: str
+    old: str  # must occur exactly once in the file
+    new: str
+    tests: tuple[str, ...] = SEARCH_TESTS
+
+
+MUTANTS = (
+    # tie cuts at bound equality and the strict settle budget
+    Mutant("images-reset-after-options-dropped", TRANSLATIONS,
+           "                e_mask[i] ^= bit\n        images[j] = -1\n",
+           "                e_mask[i] ^= bit\n"),
+    Mutant("images-reset-after-last-slot-dropped", TRANSLATIONS,
+           "            images[j] = -1\n            if key < best[:4]:",
+           "            if key < best[:4]:"),
+    Mutant("node-tie-on-total-only", TRANSLATIONS,
+           "tied = bound == best[:3]", "tied = bound[0] == best[0]"),
+    Mutant("child-tie-on-total-only", TRANSLATIONS,
+           "if child == best[:3] and", "if child[0] == best[0] and"),
+    Mutant("strict-budget-on-equal-losses", PROPAGATION,
+           "(bar[1] < here[1])", "(bar[1] <= here[1])"),
+    Mutant("tie-node-branches-on-selected-slot", TRANSLATIONS,
+           "= first if tied else branch[1:]", "= branch[1:]"),
+    # one conflict mask per slot, one incumbent, one lost-slot encoding
+    Mutant("conflicts-without-used-mask", TRANSLATIONS,
+           "inc = ((em ^ nw) & used_mask).bit_count()", "inc = (em ^ nw).bit_count()"),
+    Mutant("flip-not-undone", TRANSLATIONS,
+           "non_shift + shift_flag)\n            for i in adjacent:\n                e_mask[i] ^= bit\n",
+           "non_shift + shift_flag)\n"),
+    Mutant("flip-in-every-open-slot", TRANSLATIONS,
+           "adjacent = [i for i in rest if mask_j >> verts[i] & 1]", "adjacent = rest"),
+    Mutant("empty-initial-mask", TRANSLATIONS,
+           "e_mask = [1 << target if nbr[center] >> v & 1 else 0 for v in verts]",
+           "e_mask = [0 for v in verts]"),
+    Mutant("loss-sets-a-bit", TRANSLATIONS,
+           "bit = 0 if loss_flag else 1 << w", "bit = 1 << w"),
+    Mutant("bound-prunes-ties", TRANSLATIONS,
+           "if bound > best[:3]:", "if bound >= best[:3]:"),
+    Mutant("settle-orders-lost-first", PROPAGATION,
+           "slots = tuple(g.n if s is None else s", "slots = tuple(-1 if s is None else s"),
+    Mutant("oracle-orders-lost-first", TRANSLATIONS,
+           "tuple(g.n if w is None else w for w in pair[0].images)",
+           "tuple(-1 if w is None else w for w in pair[0].images)"),
+    Mutant("beta-zero-pairs-kept", PROPAGATION,
+           "step.snp_violations if beta else 0", "step.snp_violations"),
+    Mutant("templates-accept-one-slot", "src/gcforge/net.py",
+           "    if k < 2:  # a centered", "    if False:  # a centered",
+           ("tests/test_net.py", "tests/test_cli.py")),
+    Mutant("dataset-accepts-non-finite", "src/gcforge/net.py",
+           "if not all(map(math.isfinite, rows[-1])):", "if False:",
+           ("tests/test_net.py", "tests/test_cli.py")),
+    Mutant("coordinates-accept-non-finite", "src/gcforge/graph.py",
+           "if not all(map(math.isfinite, row)):", "if False:",
+           ("tests/test_graph.py", "tests/test_cli.py")),
+    # option cutoff and last-slot resolve in the parent
+    Mutant("cutoff-prunes-ties", TRANSLATIONS,
+           "if child > best[:3]:", "if child >= best[:3]:"),
+    Mutant("base-shift-keeps-slot-share", TRANSLATIONS,
+           "base_shift = bound_shift - min_s", "base_shift = bound_shift"),
+    Mutant("base-losses-keeps-slot-share", TRANSLATIONS,
+           "base_losses = bound_losses - min_l", "base_losses = bound_losses"),
+    Mutant("shift-estimate-plus-one", TRANSLATIONS,
+           "base_shift + shift_flag, base_losses", "base_shift + shift_flag + 1, base_losses"),
+    Mutant("last-slot-ignores-shift", TRANSLATIONS,
+           "images[j], inc = min(options)",
+           "images[j], inc = min(options, key=lambda o: (o[0], o[2], o[3]))"),
+    Mutant("last-slot-image-not-written", TRANSLATIONS,
+           "cost, shift_flag, loss_flag, images[j], inc = min(options)",
+           "cost, shift_flag, loss_flag, _, inc = min(options)"),
+    Mutant("last-slot-pairs-not-added", TRANSLATIONS,
+           "best = (*key, violations + inc)", "best = (*key, violations)"),
+    Mutant("budget-limit-ceil", TRANSLATIONS,
+           "math.floor(Fraction(budget) * scale)", "math.ceil(Fraction(budget) * scale)"),
+    # one scan per open slot
+    Mutant("branch-on-last-scanned-options", TRANSLATIONS,
+           "j, (min_c, min_s, min_l), options = first", "j, (min_c, min_s, min_l), _ = first"),
+    Mutant("shift-flag-from-center", TRANSLATIONS,
+           "0 if w - v == delta else 1", "0 if w - center == delta else 1"),
+    Mutant("used-image-not-skipped", TRANSLATIONS,
+           "if used_mask & bit:\n", "if False:\n"),
+)
+
+
+def _first_failure(output: str) -> str | None:
+    for line in output.splitlines():
+        if line.startswith(("FAILED ", "ERROR ")):
+            return line.split(" - ")[0]
+    return None
+
+
+def run(mutant: Mutant, work: Path) -> str:
+    """Apply ``mutant`` inside ``work``, run its tests, restore the file and
+    return the first failure line, or ``SURVIVED``."""
+    target = work / mutant.path
+    original = target.read_text(encoding="utf-8")
+    if original.count(mutant.old) != 1:
+        raise SystemExit(f"{mutant.name}: the text to mutate occurs "
+                         f"{original.count(mutant.old)} times in {mutant.path}, not once")
+    target.write_text(original.replace(mutant.old, mutant.new), encoding="utf-8")
+    env = {**os.environ, "PYTHONPATH": str(work / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "pytest", "-x", "-q", "-rfE", "-p", "no:cacheprovider",
+             *mutant.tests],
+            cwd=work, env=env, capture_output=True, text=True, timeout=TIMEOUT_S,
+        )
+    except subprocess.TimeoutExpired:
+        return f"killed by timeout ({TIMEOUT_S} s)"
+    finally:
+        target.write_text(original, encoding="utf-8")
+    if proc.returncode == 0:
+        return "SURVIVED"
+    return _first_failure(proc.stdout) or f"pytest exit {proc.returncode}:\n{proc.stdout[-2000:]}"
+
+
+def main(names: list[str]) -> int:
+    by_name = {m.name: m for m in MUTANTS}
+    unknown = [n for n in names if n not in by_name]
+    if unknown:
+        raise SystemExit(f"unknown mutants: {', '.join(unknown)}")
+    chosen = [by_name[n] for n in names] if names else list(MUTANTS)
+    survivors = []
+    with tempfile.TemporaryDirectory(prefix="gcforge-mutants-") as tmp:
+        work = Path(tmp)
+        for part in ("src", "tests"):
+            shutil.copytree(ROOT / part, work / part,
+                            ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
+        shutil.copy2(ROOT / "pyproject.toml", work / "pyproject.toml")
+        for mutant in chosen:
+            verdict = run(mutant, work)
+            print(f"{mutant.name}: {verdict}", flush=True)
+            if verdict == "SURVIVED":
+                survivors.append(mutant.name)
+    print(f"{len(chosen) - len(survivors)} of {len(chosen)} mutants killed"
+          + (f"; survivors: {', '.join(survivors)}" if survivors else ""))
+    return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
