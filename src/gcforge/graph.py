@@ -138,6 +138,20 @@ def _significant_lines(text: str) -> Iterable[tuple[int, str]]:
 _INTEGER = re.compile(r"[+-]?[0-9]+")
 
 
+def _int(field: str) -> int:
+    """``int(field)`` of an ASCII decimal integer; ``ValueError`` otherwise."""
+    if not _INTEGER.fullmatch(field):
+        raise ValueError(f"not an ASCII integer: {field!r}")
+    return int(field)
+
+
+def _float(field: str) -> float:
+    """``float(field)`` without the ``_`` and non-ASCII digits float() takes."""
+    if "_" in field or not field.isascii():
+        raise ValueError(f"not a plain number: {field!r}")
+    return float(field)
+
+
 def load_edge_list(text: str) -> Graph:
     """Parse edge-list text: first line ``n``, then ``u v`` lines.
 
@@ -201,7 +215,7 @@ def load_coordinates(text: str) -> CoordinateSet:
             if not any(map(_is_number, fields)):
                 continue  # header row
         try:
-            row = [float(f) for f in fields]
+            row = [_float(f) for f in fields]
         except ValueError:
             raise CoordinateFormatError(f"non-numeric field in {line!r}", line_no) from None
         if not all(map(math.isfinite, row)):

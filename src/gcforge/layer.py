@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import LineNumberedError, ParameterError, _significant_lines
+from .graph import LineNumberedError, ParameterError, _int, _significant_lines
 from .propagation import PlacementMap
 
 Triple = tuple[int, int, int]
@@ -186,7 +186,7 @@ def import_scheme(text: str) -> WeightSharingScheme:
             if len(parts) != 2:
                 raise SchemeFormatError(f"expected header 'n K', got {line!r}", line_no)
             try:
-                n, k = int(parts[0]), int(parts[1])
+                n, k = _int(parts[0]), _int(parts[1])
             except ValueError:
                 raise SchemeFormatError(f"non-integer header field in {line!r}", line_no) from None
             if n < 0 or k < 1:
@@ -195,7 +195,7 @@ def import_scheme(text: str) -> WeightSharingScheme:
         if len(parts) != 3:
             raise SchemeFormatError(f"expected 'out in idx', got {line!r}", line_no)
         try:
-            out, inp, idx = int(parts[0]), int(parts[1]), int(parts[2])
+            out, inp, idx = _int(parts[0]), _int(parts[1]), _int(parts[2])
         except ValueError:
             raise SchemeFormatError(f"non-integer field in {line!r}", line_no) from None
         if not (0 <= out < n) or not (0 <= inp < n):

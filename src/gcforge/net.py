@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph import Graph, LineNumberedError, _significant_lines
+from .graph import Graph, LineNumberedError, _int, _significant_lines
 from .layer import WeightSharingScheme
 from .propagation import PlacementMap
 
@@ -94,8 +94,10 @@ def dataset_from_csv(text: str, expect_n: int | None = None) -> Dataset:
                 line_no,
             )
         try:
+            if "_" in line or not line.isascii():  # float() and int() take both
+                raise ValueError(line)
             rows.append([float(f) for f in fields[:-1]])
-            labels.append(int(fields[-1]))
+            labels.append(_int(fields[-1]))
         except ValueError:
             raise DatasetFormatError(f"non-numeric field in {line!r}", line_no) from None
         if not all(map(math.isfinite, rows[-1])):

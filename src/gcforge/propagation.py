@@ -21,6 +21,8 @@ from .graph import (
     Graph,
     LineNumberedError,
     ParameterError,
+    _float,
+    _int,
     _significant_lines,
     bfs_distances,
     is_connected,
@@ -282,8 +284,8 @@ def parse_placements(text: str) -> PlacementMap:
                     f"expected header 'n K seed alpha beta', got {line!r}", line_no
                 )
             try:
-                n, k, seed = int(parts[0]), int(parts[1]), int(parts[2])
-                alpha, beta = float(parts[3]), float(parts[4])
+                n, k, seed = _int(parts[0]), _int(parts[1]), _int(parts[2])
+                alpha, beta = _float(parts[3]), _float(parts[4])
             except ValueError:
                 raise PlacementFormatError(f"non-numeric header field in {line!r}", line_no) from None
             try:
@@ -301,8 +303,8 @@ def parse_placements(text: str) -> PlacementMap:
                 f"expected 'center; score; slots', got {line!r}", line_no
             )
         try:
-            center = int(parts[0])
-            total = float(parts[1])
+            center = _int(parts[0])
+            total = _float(parts[1])
         except ValueError:
             raise PlacementFormatError(f"non-numeric center or score in {line!r}", line_no) from None
         if not math.isfinite(total):
@@ -327,7 +329,7 @@ def parse_placements(text: str) -> PlacementMap:
                 slots.append(None)
             else:
                 try:
-                    vid = int(value)
+                    vid = _int(value)
                 except ValueError:
                     raise PlacementFormatError(
                         f"slot value must be a vertex id or {LOSS_TEXT}, got {value!r}", line_no

@@ -199,11 +199,16 @@ def _max_bit_matching(masks: list[int]) -> int:
 @dataclass
 class SearchStats:
     """Counters that :func:`find_local_translation` adds to when given one:
-    search nodes expanded, and searches that returned ``None`` because no
-    map fit the budget."""
+    search nodes expanded, searches that returned ``None`` because no map
+    fit the budget, and nodes that returned early, by the test that cut
+    them (bound, image-prefix tie, matching bump, pair bump)."""
 
     nodes: int = 0
     none_results: int = 0
+    bound_prunes: int = 0
+    tie_prunes: int = 0
+    matching_prunes: int = 0
+    pair_prunes: int = 0
 
 
 def find_local_translation(
@@ -237,7 +242,12 @@ def find_local_translation(
        ordering after all vertex ids.
 
     Costs compare as the exact integers of :func:`exact_weights`, so only
-    the ratio ``alpha:beta`` matters.
+    the ratio ``alpha:beta`` matters. The search ranks a map by one integer,
+    ``cost*W*W + non_shift*W + losses`` with ``W`` one more than the number
+    of slots; both counts stay below ``W``, so the key orders exactly as the
+    first three rules above. A node is pruned when its bound on that key,
+    raised by the larger of a matching bump and a pair bump over the slots
+    that compete for images, exceeds the incumbent's key.
 
     ``budget`` (a float or a :class:`~fractions.Fraction`) caps the exact
     score ``alpha*losses + beta*snp``, with no rounding slack: the search
@@ -246,7 +256,7 @@ def find_local_translation(
     (infinity) always finds a map, because losing every slot but the
     center is always feasible.
 
-    ``stats``, when given, gains this call's node count and ``None`` result.
+    ``stats``, when given, gains this call's counters (:class:`SearchStats`).
     """
     A, B, scale = exact_weights(alpha, beta)
     if math.isnan(budget):
@@ -262,11 +272,16 @@ def find_local_translation(
     lost = g.n  # sentinel image; conveniently orders after every vertex id
     delta = target - center
     nbr = g.neighbor_masks
+    # key = cost*W2 + non_shift*W + losses; the loss option never ties an image
+    W = m + 1
+    W2, BW2 = W * W, B * W * W
+    loss_key = A * W2 + W + 1
 
-    best = (limit, math.inf, math.inf, (), 0)  # (cost, non_shift, losses, images, violations)
+    best = ((limit + 1) * W2 - 1, (), 0)  # (key, images, violations)
     nodes = 0
+    counts = SearchStats()  # this call's prunes; nodes and None results added at the end
     # an open slot reads -1, before every vertex id and the lost sentinel, so
-    # tuple(images) > best[3] holds exactly when the first slot that differs
+    # tuple(images) > best[1] holds exactly when the first slot that differs
     # from the incumbent is assigned and carries a greater image
     images = [-1] * m
     images[0] = target
@@ -278,148 +293,154 @@ def find_local_translation(
     # edges lost plus non-edges gained. Assigning slot j flips its image
     # bit in the masks of the open slots adjacent to verts[j].
     e_mask = [1 << target if nbr[center] >> v & 1 else 0 for v in verts]
-    # per slot, every candidate (w, 1 << w, nbr[w], shift flag), fixed for the call
-    cands = [[(w, 1 << w, nbr[w], 0 if w - v == delta else 1) for w in g.neighbors(v)]
+    # per slot, every candidate (w, 1 << w, nbr[w], shift key), fixed for the call
+    cands = [[(w, 1 << w, nbr[w], 0 if w - v == delta else W) for w in g.neighbors(v)]
              for v in verts]
 
-    def search(
-        unassigned: list[int],
-        used_mask: int,
-        losses: int,
-        violations: int,
-        non_shift: int,
-    ) -> None:
+    def search(unassigned: list[int], used_mask: int, key: int, violations: int) -> None:
         nonlocal best, nodes
         nodes += 1
-        total = A * losses + B * violations
         if not unassigned:  # a lone center; a last open slot resolves in place below
-            key = (total, non_shift, losses, tuple(images))
-            if key < best[:4]:
-                best = (*key, violations)
+            leaf = (key, tuple(images))
+            if leaf < best[:2]:
+                best = (*leaf, violations)
             return
 
-        # Admissible cascaded bound: every open slot pays at least its
-        # lexicographically cheapest option, an option being a free neighbor
-        # (cost B*conflicts, shift flag, survives) or the loss
-        # (cost A, non-shifted, lost). Conflicts between two open slots
-        # are not counted. Deeper, a slot's option costs only rise and at
-        # an equal minimum its min-cost options are a subset of these, so
-        # the (total, shift, losses) tuple only grows lexicographically
-        # (a single component need not: a slot's shift flag can drop as
-        # its cost rises). The option cutoff below relies on this, and so
-        # do the tie cuts: a node or child whose bound tuple equals the
-        # incumbent's is cut when its assigned image prefix already loses
-        # the image tie-break, and such a node branches on its lowest open
-        # slot, so that the prefix grows and the cut fires sooner.
-        bound_total = total
-        bound_shift = non_shift
-        bound_losses = losses
+        # Admissible bound: every open slot pays at least the key of its
+        # cheapest option, an option being a free neighbor (B*conflicts,
+        # shift flag) or the loss. Conflicts between two open slots are
+        # not counted. Deeper, a slot's option keys only rise, so the bound
+        # only grows. The option cutoff below relies on this, and so do
+        # the tie cuts: a node or child whose bound equals the incumbent's
+        # key is cut when its assigned image prefix already loses the image
+        # tie-break, and such a node branches on its lowest open slot, so
+        # that the prefix grows and the cut fires sooner.
+        bound = key
         branch = None  # (selection key, slot, its minimum, its options)
         first = None  # (slot, its minimum, its options) of the lowest open slot
-        # slots whose cheapest option is an image compete for those images;
-        # a max matching bounds how many can win at once (loss-cheap slots
-        # are satisfied privately), and every loser pays at least the
-        # smallest cost step above a row minimum
-        contested: list[tuple[int, int]] = []  # (zero-cost image mask, step)
+        # a slot whose cheapest option is an image competes for the images
+        # at that key; each one that cannot have one pays its step, the
+        # distance to its next key level
+        contested: list[tuple[int, int, int]] = []  # (slot, min-level images, step)
         for j in unassigned:
             em = e_mask[j]
-            options = [(A, 1, 1, lost, 0)]  # (cost, shift flag, loss flag, image, pairs)
-            min_c, min_s, min_l = A, 1, 1  # the loss option
-            zero_imgs = 0
-            min2 = math.inf
+            options = [(loss_key, lost, 0)]  # (key, image, pairs)
+            low, low_imgs, low2 = loss_key, 0, math.inf
             for w, bit, nw, s in cands[j]:
                 if used_mask & bit:
                     continue
                 inc = ((em ^ nw) & used_mask).bit_count()
-                c = B * inc
-                options.append((c, s, 0, w, inc))
-                if c > min_c:
-                    if c < min2:
-                        min2 = c
-                    continue
-                if c < min_c:
-                    if min_c < min2:
-                        min2 = min_c
-                    zero_imgs = bit
-                    min_c, min_s, min_l = c, s, 0
-                    continue
-                zero_imgs |= bit
-                if s < min_s or (s == min_s and min_l):
-                    min_s, min_l = s, 0
-            bound_total += min_c
-            bound_shift += min_s
-            bound_losses += min_l
-            # a slot whose loss is no cheaper than its best image competes
-            # for images; losers pay at least the next cost level up
-            if min_c < A and zero_imgs:
-                contested.append((zero_imgs, min(min2, A) - min_c))
+                c = BW2 * inc + s
+                options.append((c, w, inc))
+                if c > low:
+                    if c < low2:
+                        low2 = c
+                elif c < low:
+                    low, low_imgs, low2 = c, bit, low
+                else:
+                    low_imgs |= bit
+            bound += low
+            if low_imgs:
+                contested.append((j, low_imgs, low2 - low))
             if first is None:
-                first = (j, (min_c, min_s, min_l), options)
+                first = (j, low, options)
             # branch on the most expensive slot, then the most constrained
-            sel = (-min_c, len(options), j)
+            sel = (-low, len(options), j)
             if branch is None or sel < branch[0]:
-                branch = (sel, j, (min_c, min_s, min_l), options)
-        bound = (bound_total, bound_shift, bound_losses)
-        if bound > best[:3]:
+                branch = (sel, j, low, options)
+        if bound > best[0]:
+            counts.bound_prunes += 1
             return
-        tied = bound == best[:3]
-        if tied and tuple(images) > best[3]:
+        tied = bound == best[0]
+        if tied and tuple(images) > best[1]:
+            counts.tie_prunes += 1
             return
-        if len(contested) > 1:
-            unmatched = len(contested) - _max_bit_matching([m_ for m_, _ in contested])
-            if unmatched > 0:
-                steps = sorted(s_ for _, s_ in contested)
-                if bound_total + sum(steps[:unmatched]) > best[0]:
-                    return
+        steps = sorted(c[2] for c in contested)
+        gap = best[0] - bound  # a bump above this prunes
+        # at least one contested slot keeps a min-level image, so neither
+        # bump exceeds the sum of all steps but the largest
+        if sum(steps[:-1]) > gap:
+            # matching: at most a max matching of contested slots take
+            # min-level images; every other one pays its step
+            unmatched = len(contested) - _max_bit_matching([c[1] for c in contested])
+            if sum(steps[:unmatched]) > gap:
+                counts.matching_prunes += 1
+                return
+            # pairs: slots a, b pay min(step_a, step_b) unless min-level
+            # images u != w agree on adjacency with verts[a] ~ verts[b]
+            # (capped at one broken pair when distinct ones exist). Disjoint
+            # pairs add up, to at most steps[-2] + steps[-4] + ...; both
+            # bumps draw on the same steps, so only the larger one counts.
+            spans = []  # (slot, images, step, its nbr mask, OR nbr[w], AND nbr[w] | 1 << w)
+            if sum(steps[-2::-2]) > gap:
+                for j, imgs, step in contested:
+                    ors, ands = 0, -1
+                    for w, bit, nw, _ in cands[j]:
+                        if imgs & bit:
+                            ors, ands = ors | nw, ands & (nw | bit)
+                    spans.append((j, imgs, step, nbr[verts[j]], ors, ands))
+            pairs = []
+            for x, (a, ia, sa, na, ors, ands) in enumerate(spans):
+                for b, ib, sb, _, _, _ in spans[x + 1:]:
+                    agree = ib & ors if na >> verts[b] & 1 else ib & ~ands
+                    if not agree:
+                        d = min(sa, sb)
+                        pairs.append((min(d, BW2) if (ia | ib).bit_count() > 1 else d, a, b))
+            bump, taken = 0, 0
+            for d, a, b in sorted(pairs, reverse=True):
+                if not taken & (1 << a | 1 << b):
+                    taken |= 1 << a | 1 << b
+                    bump += d
+            if bump > gap:
+                counts.pair_prunes += 1
+                return
 
-        j, (min_c, min_s, min_l), options = first if tied else branch[1:]
+        j, low, options = first if tied else branch[1:]
         rest = [i for i in unassigned if i != j]
         if not rest:  # the leaves differ only in slot j: the least option wins
-            cost, shift_flag, loss_flag, images[j], inc = min(options)
-            key = (total + cost, non_shift + shift_flag, losses + loss_flag, tuple(images))
+            opt, images[j], inc = min(options)
+            leaf = (key + opt, tuple(images))
             images[j] = -1
-            if key < best[:4]:
-                best = (*key, violations + inc)
+            if leaf < best[:2]:
+                best = (*leaf, violations + inc)
             return
         options.sort()
         mask_j = nbr[verts[j]]
         adjacent = [i for i in rest if mask_j >> verts[i] & 1]
-        base_total = bound_total - min_c  # the bound without j's share
-        base_shift = bound_shift - min_s
-        base_losses = bound_losses - min_l
+        base = bound - low  # the bound without j's share
 
-        for cost, shift_flag, loss_flag, w, inc in options:
-            # a child's bound tuple is >= this one, so the first option that
+        for opt, w, inc in options:
+            # a child's bound is >= this one, so the first option that
             # loses to the incumbent ends the loop (the rest sort after it,
-            # at a greater tuple or at an equal one with a greater image in
-            # slot j), and a child is only entered with total <= best[0]
-            child = (base_total + cost, base_shift + shift_flag, base_losses + loss_flag)
-            if child > best[:3]:
+            # at a greater key or at an equal one with a greater image in
+            # slot j), and a child is only entered with a bound <= best[0]
+            child = base + opt
+            if child > best[0]:
                 break
             images[j] = w
-            if child == best[:3] and tuple(images) > best[3]:
+            if child == best[0] and tuple(images) > best[1]:
                 break
-            bit = 0 if loss_flag else 1 << w
+            bit = 0 if w == lost else 1 << w
             for i in adjacent:
                 e_mask[i] ^= bit
-            search(rest, used_mask | bit, losses + loss_flag, violations + inc,
-                   non_shift + shift_flag)
+            search(rest, used_mask | bit, key + opt, violations + inc)
             for i in adjacent:
                 e_mask[i] ^= bit
         images[j] = -1
 
-    search(list(range(1, m)), 1 << target, 0, 0, 0)
-    _, _, losses, best_images, violations = best
+    search(list(range(1, m)), 1 << target, 0, 0)
+    best_key, best_images, violations = best
     if stats is not None:
-        stats.nodes += nodes
-        stats.none_results += not best_images
+        counts.nodes, counts.none_results = nodes, int(not best_images)
+        for name, value in vars(counts).items():
+            setattr(stats, name, getattr(stats, name) + value)
     if not best_images:
         return None
 
     order = sorted(range(m), key=lambda i: verts[i])
     domain = tuple(verts[i] for i in order)
     imgs = tuple(None if best_images[i] == lost else best_images[i] for i in order)
-    return Translation(domain, imgs), DeformationScore.of(losses, violations, alpha, beta)
+    return Translation(domain, imgs), DeformationScore.of(best_key % W, violations, alpha, beta)
 
 
 def enumerate_translations_bruteforce(

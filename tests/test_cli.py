@@ -74,6 +74,16 @@ class TestInferGraph:
         assert capsys.readouterr().err == "error: line 1: non-numeric field in '0.1x,0.2'\n"
         assert not (tmp_path / "g.edges").exists()
 
+    @pytest.mark.parametrize("row", ["1_0.0,2.0", "1.0,٢.0"], ids=["underscore", "arabic2"])
+    def test_unplain_number_exits_2(self, tmp_path, capsys, row):
+        # float() takes "1_0.0" and "٢.0" (as 10.0 and 2.0)
+        (tmp_path / "c.csv").write_text(f"x,y\n0,0\n{row}\n2,2\n", encoding="utf-8")
+        code = run_cli("infer-graph", "--coords", str(tmp_path / "c.csv"),
+                       "--k", "1", "--out", str(tmp_path / "g.edges"))
+        assert code == 2
+        assert capsys.readouterr().err == f"error: line 3: non-numeric field in {row!r}\n"
+        assert not (tmp_path / "g.edges").exists()
+
     def test_missing_file_exits_2(self, tmp_path, capsys):
         code = run_cli("infer-graph", "--coords", str(tmp_path / "nope.csv"),
                        "--k", "2", "--out", str(tmp_path / "g"))
@@ -243,6 +253,22 @@ class TestBuildLayerAndVerify:
             "error: line 2: alpha and beta must be finite and nonnegative, got -1.0 and 1.0\n"
         )
         assert not (workdir / "out").exists()
+
+    @pytest.mark.parametrize("old, new, line", [
+        ("slot2=2", "slot2=٢", 3), ("slot2=2", "slot2=0_2", 3), ("slot2=2", "slot2=--5", 3),
+        ("\n1; 0.0", "\n0_1; 0.0", 3), ("1; 0.0;", "1; 0_0;", 3), ("1.0 1.0\n", "1_0 1.0\n", 1),
+    ], ids=["slot-arabic2", "slot-0_2", "slot--5", "center-0_1", "score-0_0", "alpha-1_0"])
+    def test_malformed_number_exits_2(self, workdir, capsys, old, new, line):
+        # int() and float() take "0_2" and "٢" (both as 2) but not "--5"
+        text = ("3 3 1 1.0 1.0\n0; 1.0; slot0=0, slot1=1, slot2=⊥\n"
+                "1; 0.0; slot0=1, slot1=0, slot2=2\n2; 1.0; slot0=2, slot1=1, slot2=⊥\n")
+        bad = workdir / "bad.placements"
+        bad.write_text(text.replace(old, new, 1), encoding="utf-8")
+        code = run_cli("build-layer", "--placements", str(bad), "--out", str(workdir / "s"))
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"error: line {line}: ") and err.count("\n") == 1
+        assert not (workdir / "s").exists()
 
     @pytest.mark.parametrize("score", ["nan", "inf"])
     def test_non_finite_score_exits_2(self, workdir, capsys, score):
@@ -418,6 +444,36 @@ class TestTrainCommand:
         )
         assert code == 2
         assert capsys.readouterr().err == "error: line 3: signal values must be finite, got 'nan'\n"
+        assert not (tmp_path / "m.csv").exists()
+
+    @pytest.mark.parametrize("field", ["٢", "1_0", "--5"], ids=["arabic2", "1_0", "--5"])
+    def test_malformed_scheme_integer_exits_2(self, tmp_path, capsys, field):
+        (tmp_path / "s.scheme").write_text(f"2 1\n0 0 0\n1 1 {field}\n", encoding="utf-8")
+        self._write_separable(tmp_path / "d.csv", 2, 4, seed=0)
+        code = run_cli(
+            "train", "--scheme", str(tmp_path / "s.scheme"), "--epochs", "1",
+            "--train-data", str(tmp_path / "d.csv"), "--test-data", str(tmp_path / "d.csv"),
+            "--metrics-out", str(tmp_path / "m.csv"),
+        )
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: line 3: non-integer field in {'1 1 ' + field!r}\n"
+        )
+        assert not (tmp_path / "m.csv").exists()
+
+    @pytest.mark.parametrize("row", ["0.5,1.0,٢", "0.5,1.0,1_0", "0.5,1.0,--5", "0.5,1_0.0,1"],
+                             ids=["label-arabic2", "label-1_0", "label--5", "signal-1_0"])
+    def test_malformed_data_number_exits_2(self, tmp_path, capsys, row):
+        (tmp_path / "s.scheme").write_text("2 1\n0 0 0\n1 1 0\n", encoding="utf-8")
+        self._write_separable(tmp_path / "d.csv", 2, 4, seed=0)
+        (tmp_path / "bad.csv").write_text(f"x0,x1,label\n0.5,1.0,0\n{row}\n", encoding="utf-8")
+        code = run_cli(
+            "train", "--scheme", str(tmp_path / "s.scheme"), "--epochs", "1",
+            "--train-data", str(tmp_path / "d.csv"), "--test-data", str(tmp_path / "bad.csv"),
+            "--metrics-out", str(tmp_path / "m.csv"),
+        )
+        assert code == 2
+        assert capsys.readouterr().err == f"error: line 3: non-numeric field in {row!r}\n"
         assert not (tmp_path / "m.csv").exists()
 
     @pytest.mark.parametrize("scheme, message", [

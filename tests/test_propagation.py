@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import ast
 import hashlib
 import math
 import os
@@ -347,4 +348,31 @@ class TestBudgetedSearch:
             stats = SearchStats()
             propagate(g, init_kernel(g, most_central_vertex(g)), stats=stats)
             totals.append(stats.nodes)
-        assert totals == [61_364, 41_788, 250_738]
+        assert totals == [26_224, 27_304, 53_548]
+
+    def test_search_counters_repeat_on_cold_runs(self):
+        # every counter of er9003's propagate, from two new interpreters with
+        # different string-hash seeds: the counts are a property of the input
+        program = (
+            "import dataclasses, sys\n"
+            "from conftest import connected_er_graphs\n"
+            "from gcforge.propagation import init_kernel, most_central_vertex, propagate\n"
+            "from gcforge.translations import SearchStats\n"
+            "g = connected_er_graphs(3, 50, 0.1, base_seed=9000)[2]\n"
+            "stats = SearchStats()\n"
+            "propagate(g, init_kernel(g, most_central_vertex(g)), stats=stats)\n"
+            "sys.stdout.write(repr(dataclasses.astuple(stats)))\n"
+        )
+        paths = [str(Path(__file__).parent), str(Path(gcforge.__file__).parents[1])]
+        runs = []
+        for hash_seed in ("1", "2"):
+            env = {**os.environ, "PYTHONHASHSEED": hash_seed,
+                   "PYTHONPATH": os.pathsep.join(paths)}
+            run = subprocess.run(
+                [sys.executable, "-c", program],
+                capture_output=True, text=True, encoding="utf-8", env=env, check=True,
+            )
+            runs.append(SearchStats(*ast.literal_eval(run.stdout)))
+        assert runs[0] == runs[1]
+        assert runs[0].nodes == 53_548
+        assert runs[0].pair_prunes > 0, "the pair bump never pruned"

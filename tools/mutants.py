@@ -45,17 +45,36 @@ class Mutant:
 
 
 MUTANTS = (
+    # one integer search key and the pair bump
+    Mutant("pair-mismatch-without-cap", TRANSLATIONS,
+           "min(d, BW2) if (ia | ib).bit_count() > 1 else d", "d"),
+    Mutant("pairs-share-slots", TRANSLATIONS,
+           "if not taken & (1 << a | 1 << b):", "if True:"),
+    Mutant("pair-bump-prunes-ties", TRANSLATIONS,
+           "if bump > gap:", "if bump >= gap:"),
+    Mutant("matching-bump-prunes-ties", TRANSLATIONS,
+           "if sum(steps[:unmatched]) > gap:", "if sum(steps[:unmatched]) >= gap:"),
+    Mutant("bumps-summed", TRANSLATIONS,
+           "if bump > gap:", "if bump + sum(steps[:unmatched]) > gap:"),
+    Mutant("bump-gate-drops-a-step", TRANSLATIONS,
+           "if sum(steps[:-1]) > gap:", "if sum(steps[:-2]) > gap:"),
+    Mutant("pair-gate-drops-a-step", TRANSLATIONS,
+           "if sum(steps[-2::-2]) > gap:", "if sum(steps[-3::-2]) > gap:"),
+    Mutant("key-base-below-slot-count", TRANSLATIONS,
+           "W = m + 1", "W = m - 1"),
+    Mutant("pair-agreement-ignores-adjacency", TRANSLATIONS,
+           "agree = ib & ors if na >> verts[b] & 1 else ib & ~ands", "agree = ib & ors"),
     # tie cuts at bound equality and the strict settle budget
     Mutant("images-reset-after-options-dropped", TRANSLATIONS,
            "                e_mask[i] ^= bit\n        images[j] = -1\n",
            "                e_mask[i] ^= bit\n"),
     Mutant("images-reset-after-last-slot-dropped", TRANSLATIONS,
-           "            images[j] = -1\n            if key < best[:4]:",
-           "            if key < best[:4]:"),
+           "            images[j] = -1\n            if leaf < best[:2]:",
+           "            if leaf < best[:2]:"),
     Mutant("node-tie-on-total-only", TRANSLATIONS,
-           "tied = bound == best[:3]", "tied = bound[0] == best[0]"),
+           "tied = bound == best[0]", "tied = bound // W2 == best[0] // W2"),
     Mutant("child-tie-on-total-only", TRANSLATIONS,
-           "if child == best[:3] and", "if child[0] == best[0] and"),
+           "if child == best[0] and", "if child // W2 == best[0] // W2 and"),
     Mutant("strict-budget-on-equal-losses", PROPAGATION,
            "(bar[1] < here[1])", "(bar[1] <= here[1])"),
     Mutant("tie-node-branches-on-selected-slot", TRANSLATIONS,
@@ -64,17 +83,17 @@ MUTANTS = (
     Mutant("conflicts-without-used-mask", TRANSLATIONS,
            "inc = ((em ^ nw) & used_mask).bit_count()", "inc = (em ^ nw).bit_count()"),
     Mutant("flip-not-undone", TRANSLATIONS,
-           "non_shift + shift_flag)\n            for i in adjacent:\n                e_mask[i] ^= bit\n",
-           "non_shift + shift_flag)\n"),
+           "violations + inc)\n            for i in adjacent:\n                e_mask[i] ^= bit\n",
+           "violations + inc)\n"),
     Mutant("flip-in-every-open-slot", TRANSLATIONS,
            "adjacent = [i for i in rest if mask_j >> verts[i] & 1]", "adjacent = rest"),
     Mutant("empty-initial-mask", TRANSLATIONS,
            "e_mask = [1 << target if nbr[center] >> v & 1 else 0 for v in verts]",
            "e_mask = [0 for v in verts]"),
     Mutant("loss-sets-a-bit", TRANSLATIONS,
-           "bit = 0 if loss_flag else 1 << w", "bit = 1 << w"),
+           "bit = 0 if w == lost else 1 << w", "bit = 1 << w"),
     Mutant("bound-prunes-ties", TRANSLATIONS,
-           "if bound > best[:3]:", "if bound >= best[:3]:"),
+           "if bound > best[0]:", "if bound >= best[0]:"),
     Mutant("settle-orders-lost-first", PROPAGATION,
            "slots = tuple(g.n if s is None else s", "slots = tuple(-1 if s is None else s"),
     Mutant("oracle-orders-lost-first", TRANSLATIONS,
@@ -93,30 +112,39 @@ MUTANTS = (
            ("tests/test_graph.py", "tests/test_cli.py")),
     # option cutoff and last-slot resolve in the parent
     Mutant("cutoff-prunes-ties", TRANSLATIONS,
-           "if child > best[:3]:", "if child >= best[:3]:"),
+           "if child > best[0]:", "if child >= best[0]:"),
     Mutant("base-shift-keeps-slot-share", TRANSLATIONS,
-           "base_shift = bound_shift - min_s", "base_shift = bound_shift"),
+           "base = bound - low", "base = bound - low + low % W2 // W * W"),
     Mutant("base-losses-keeps-slot-share", TRANSLATIONS,
-           "base_losses = bound_losses - min_l", "base_losses = bound_losses"),
+           "base = bound - low", "base = bound - low + low % W"),
     Mutant("shift-estimate-plus-one", TRANSLATIONS,
-           "base_shift + shift_flag, base_losses", "base_shift + shift_flag + 1, base_losses"),
+           "child = base + opt", "child = base + opt + W"),
     Mutant("last-slot-ignores-shift", TRANSLATIONS,
            "images[j], inc = min(options)",
-           "images[j], inc = min(options, key=lambda o: (o[0], o[2], o[3]))"),
+           "images[j], inc = min(options, key=lambda o: (o[0] // W2, o[0] % W, o[1]))"),
     Mutant("last-slot-image-not-written", TRANSLATIONS,
-           "cost, shift_flag, loss_flag, images[j], inc = min(options)",
-           "cost, shift_flag, loss_flag, _, inc = min(options)"),
+           "opt, images[j], inc = min(options)", "opt, _, inc = min(options)"),
     Mutant("last-slot-pairs-not-added", TRANSLATIONS,
-           "best = (*key, violations + inc)", "best = (*key, violations)"),
+           "best = (*leaf, violations + inc)", "best = (*leaf, violations)"),
     Mutant("budget-limit-ceil", TRANSLATIONS,
            "math.floor(Fraction(budget) * scale)", "math.ceil(Fraction(budget) * scale)"),
     # one scan per open slot
     Mutant("branch-on-last-scanned-options", TRANSLATIONS,
-           "j, (min_c, min_s, min_l), options = first", "j, (min_c, min_s, min_l), _ = first"),
+           "j, low, options = first", "j, low, _ = first"),
     Mutant("shift-flag-from-center", TRANSLATIONS,
-           "0 if w - v == delta else 1", "0 if w - center == delta else 1"),
+           "0 if w - v == delta else W", "0 if w - center == delta else W"),
     Mutant("used-image-not-skipped", TRANSLATIONS,
            "if used_mask & bit:\n", "if False:\n"),
+    # ASCII-only numbers in every reader
+    Mutant("integers-accept-any-int", "src/gcforge/graph.py",
+           "    if not _INTEGER.fullmatch(field):\n", "    if False:\n",
+           ("tests/test_cli.py",)),
+    Mutant("floats-accept-underscores", "src/gcforge/graph.py",
+           'if "_" in field or not field.isascii():', "if not field.isascii():",
+           ("tests/test_cli.py",)),
+    Mutant("dataset-accepts-underscores", "src/gcforge/net.py",
+           'if "_" in line or not line.isascii():', "if not line.isascii():",
+           ("tests/test_net.py", "tests/test_cli.py")),
 )
 
 
