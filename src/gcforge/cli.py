@@ -159,6 +159,11 @@ def cmd_train(args) -> int:
     train_ds = net.dataset_from_csv(_read(args.train_data), expect_n=scheme.n)
     test_ds = net.dataset_from_csv(_read(args.test_data), expect_n=scheme.n)
     classes = int(max(train_ds.labels.max(), test_ds.labels.max())) + 1
+    # of len + 1 ids one is missing, so this scan is bounded by the rows
+    seen = set(train_ds.labels.tolist())
+    unseen = next(c for c in range(len(seen) + 1) if c not in seen)
+    if unseen < classes:
+        raise UsageError(f"class {unseen} has no training row (largest label {classes - 1})")
     if classes < 2:
         raise UsageError("need at least 2 classes to train")
     model = net.build_conv_model(

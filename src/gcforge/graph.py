@@ -162,10 +162,10 @@ def load_edge_list(text: str) -> Graph:
         line_no, header = next(lines)
     except StopIteration:
         raise EdgeListFormatError("empty input: missing vertex count") from None
-    parts = header.split()
-    if len(parts) != 1 or not _INTEGER.fullmatch(parts[0]):
-        raise EdgeListFormatError(f"expected a single vertex count, got {header!r}", line_no)
-    n = int(parts[0])
+    try:
+        n = _int(header)  # the whole stripped line: one field, no spaces
+    except ValueError:
+        raise EdgeListFormatError(f"expected a single vertex count, got {header!r}", line_no) from None
     if n < 0:
         raise EdgeListFormatError(f"vertex count must be nonnegative, got {n}", line_no)
 
@@ -174,9 +174,10 @@ def load_edge_list(text: str) -> Graph:
         fields = line.split()
         if len(fields) != 2:
             raise EdgeListFormatError(f"expected 'u v', got {line!r}", line_no)
-        if not all(_INTEGER.fullmatch(f) for f in fields):
-            raise EdgeListFormatError(f"non-integer vertex id in {line!r}", line_no)
-        u, v = int(fields[0]), int(fields[1])
+        try:
+            u, v = _int(fields[0]), _int(fields[1])
+        except ValueError:
+            raise EdgeListFormatError(f"non-integer vertex id in {line!r}", line_no) from None
         if u == v:
             raise EdgeListFormatError(f"self-loop at vertex {u}", line_no)
         if not (0 <= u < n) or not (0 <= v < n):

@@ -86,11 +86,12 @@ class WeightSharingScheme:
 
 def build_scheme(pm: PlacementMap) -> WeightSharingScheme:
     """One row per vertex: the slots of its placement, ``n`` where lost."""
-    missing = [v for v in range(pm.n) if v not in pm.placements]
-    if missing:
+    # of len + 1 ids one is missing, so this scan never runs to a huge n
+    missing = next(v for v in range(len(pm.placements) + 1) if v not in pm.placements)
+    if missing < pm.n:
         raise IncompletePlacementError(
             f"placement map covers {len(pm.placements)} of {pm.n} vertices; "
-            f"first missing vertex: {missing[0]}"
+            f"first missing vertex: {missing}"
         )
     rows = [[pm.n if s is None else s for s in pm.placements[v].slots] for v in range(pm.n)]
     return WeightSharingScheme(pm.n, pm.k, np.array(rows, dtype=np.intp).reshape(pm.n, pm.k))
@@ -183,6 +184,7 @@ def import_scheme(text: str) -> WeightSharingScheme:
     for line_no, line in _significant_lines(text):
         parts = line.split()
         if n is None:
+            header_no = line_no
             if len(parts) != 2:
                 raise SchemeFormatError(f"expected header 'n K', got {line!r}", line_no)
             try:
@@ -205,6 +207,11 @@ def import_scheme(text: str) -> WeightSharingScheme:
         rows.append((out, inp, idx, line_no))
     if n is None:
         raise SchemeFormatError("empty input: missing 'n K' header")
+    if n > len(rows):  # checked before the n x K table is allocated
+        raise SchemeFormatError(
+            f"header n={n} exceeds the triple count {len(rows)}; every vertex carries its self-wire",
+            header_no,
+        )
     out, inp, idx, line_nos = np.array(rows, dtype=np.intp).reshape(-1, 4).T
     repeats = np.concatenate([_repeats(out * n + inp), _repeats(out * k + idx)])
     if repeats.size:

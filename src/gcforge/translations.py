@@ -199,14 +199,14 @@ def _max_bit_matching(masks: list[int]) -> int:
 @dataclass
 class SearchStats:
     """Counters that :func:`find_local_translation` adds to when given one:
-    search nodes expanded, searches that returned ``None`` because no map
-    fit the budget, and nodes that returned early, by the test that cut
-    them (bound, image-prefix tie, matching bump, pair bump)."""
+    search nodes expanded (every leaf is a node), searches that returned
+    ``None`` because no map fit the budget, and nodes that returned early,
+    by the test that cut them (bound, matching bump, pair bump). A tie with
+    the incumbent cuts options in the parent, which no counter sees."""
 
     nodes: int = 0
     none_results: int = 0
     bound_prunes: int = 0
-    tie_prunes: int = 0
     matching_prunes: int = 0
     pair_prunes: int = 0
 
@@ -247,7 +247,9 @@ def find_local_translation(
     of slots; both counts stay below ``W``, so the key orders exactly as the
     first three rules above. A node is pruned when its bound on that key,
     raised by the larger of a matching bump and a pair bump over the slots
-    that compete for images, exceeds the incumbent's key.
+    that compete for images, exceeds the incumbent's key; an option whose
+    estimate equals that key is cut when its image prefix already loses the
+    image tie-break.
 
     ``budget`` (a float or a :class:`~fractions.Fraction`) caps the exact
     score ``alpha*losses + beta*snp``, with no rounding slack: the search
@@ -278,8 +280,7 @@ def find_local_translation(
     loss_key = A * W2 + W + 1
 
     best = ((limit + 1) * W2 - 1, (), 0)  # (key, images, violations)
-    nodes = 0
-    counts = SearchStats()  # this call's prunes; nodes and None results added at the end
+    counts = stats if stats is not None else SearchStats()
     # an open slot reads -1, before every vertex id and the lost sentinel, so
     # tuple(images) > best[1] holds exactly when the first slot that differs
     # from the incumbent is assigned and carries a greater image
@@ -298,9 +299,9 @@ def find_local_translation(
              for v in verts]
 
     def search(unassigned: list[int], used_mask: int, key: int, violations: int) -> None:
-        nonlocal best, nodes
-        nodes += 1
-        if not unassigned:  # a lone center; a last open slot resolves in place below
+        nonlocal best
+        counts.nodes += 1
+        if not unassigned:  # a leaf, the lone center included
             leaf = (key, tuple(images))
             if leaf < best[:2]:
                 best = (*leaf, violations)
@@ -310,11 +311,11 @@ def find_local_translation(
         # cheapest option, an option being a free neighbor (B*conflicts,
         # shift flag) or the loss. Conflicts between two open slots are
         # not counted. Deeper, a slot's option keys only rise, so the bound
-        # only grows. The option cutoff below relies on this, and so do
-        # the tie cuts: a node or child whose bound equals the incumbent's
-        # key is cut when its assigned image prefix already loses the image
-        # tie-break, and such a node branches on its lowest open slot, so
-        # that the prefix grows and the cut fires sooner.
+        # only grows. The option cutoff below relies on this, and so does
+        # the tie cut: a child whose estimate equals the incumbent's key is
+        # cut when its image prefix already loses the image tie-break. A
+        # node whose bound equals that key branches on its lowest open
+        # slot, so that the prefix grows and the cut fires sooner.
         bound = key
         branch = None  # (selection key, slot, its minimum, its options)
         first = None  # (slot, its minimum, its options) of the lowest open slot
@@ -352,9 +353,6 @@ def find_local_translation(
             counts.bound_prunes += 1
             return
         tied = bound == best[0]
-        if tied and tuple(images) > best[1]:
-            counts.tie_prunes += 1
-            return
         steps = sorted(c[2] for c in contested)
         gap = best[0] - bound  # a bump above this prunes
         # at least one contested slot keeps a min-level image, so neither
@@ -397,13 +395,6 @@ def find_local_translation(
 
         j, low, options = first if tied else branch[1:]
         rest = [i for i in unassigned if i != j]
-        if not rest:  # the leaves differ only in slot j: the least option wins
-            opt, images[j], inc = min(options)
-            leaf = (key + opt, tuple(images))
-            images[j] = -1
-            if leaf < best[:2]:
-                best = (*leaf, violations + inc)
-            return
         options.sort()
         mask_j = nbr[verts[j]]
         adjacent = [i for i in rest if mask_j >> verts[i] & 1]
@@ -430,11 +421,8 @@ def find_local_translation(
 
     search(list(range(1, m)), 1 << target, 0, 0)
     best_key, best_images, violations = best
-    if stats is not None:
-        counts.nodes, counts.none_results = nodes, int(not best_images)
-        for name, value in vars(counts).items():
-            setattr(stats, name, getattr(stats, name) + value)
     if not best_images:
+        counts.none_results += 1
         return None
 
     order = sorted(range(m), key=lambda i: verts[i])

@@ -281,6 +281,28 @@ class TestBuildLayerAndVerify:
         assert code == 2
         assert err.startswith("error: line 2: ") and err.count("\n") == 1
 
+    def test_placement_count_above_its_lines_exits_2(self, tmp_path, capsys):
+        # a table over the header's n would hold 10**12 rows
+        bad = tmp_path / "big.placements"
+        bad.write_text("1000000000000 1 0 1.0 1.0\n0; 0.0; slot0=0\n", encoding="utf-8")
+        code = run_cli("build-layer", "--placements", str(bad), "--out", str(tmp_path / "s"))
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: placement map covers 1 of 1000000000000 vertices; first missing vertex: 1\n"
+        )
+        assert not (tmp_path / "s").exists()
+
+    def test_scheme_count_above_its_lines_exits_2(self, tmp_path, capsys):
+        # every vertex carries its self-wire, so n is at most the triple count
+        bad = tmp_path / "big.scheme"
+        bad.write_text("1000000000000 1\n0 0 0\n", encoding="utf-8")
+        code = run_cli("verify-grid", "--scheme", str(bad), "--rows", "1", "--cols", "1")
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: line 1: header n=1000000000000 exceeds the triple count 1; "
+            "every vertex carries its self-wire\n"
+        )
+
 
 class TestTrainCommand:
     def _make_data(self, workdir, g_path, p_path):
@@ -474,6 +496,27 @@ class TestTrainCommand:
         )
         assert code == 2
         assert capsys.readouterr().err == f"error: line 3: non-numeric field in {row!r}\n"
+        assert not (tmp_path / "m.csv").exists()
+
+    @pytest.mark.parametrize("split, missing", [("train", 1), ("test", 2)])
+    def test_label_without_training_row_exits_2(self, tmp_path, capsys, split, missing):
+        # the class count is the largest label plus one; a label of 10**12
+        # would size the output layer at 10**12 classes
+        (tmp_path / "s.scheme").write_text("2 1\n0 0 0\n1 1 0\n", encoding="utf-8")
+        self._write_separable(tmp_path / "d.csv", 2, 4, seed=0)
+        (tmp_path / "big.csv").write_text("x0,x1,label\n0.5,1.0,0\n0.1,0.2,1000000000000\n",
+                                          encoding="utf-8")
+        data = {"train": str(tmp_path / "d.csv"), "test": str(tmp_path / "d.csv"),
+                split: str(tmp_path / "big.csv")}
+        code = run_cli(
+            "train", "--scheme", str(tmp_path / "s.scheme"), "--epochs", "1",
+            "--train-data", data["train"], "--test-data", data["test"],
+            "--metrics-out", str(tmp_path / "m.csv"),
+        )
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: class {missing} has no training row (largest label 1000000000000)\n"
+        )
         assert not (tmp_path / "m.csv").exists()
 
     @pytest.mark.parametrize("scheme, message", [

@@ -343,12 +343,14 @@ class TestBudgetedSearch:
     def test_search_node_totals(self):
         # exact counts of search nodes over propagate on the three er-tail
         # graphs: a weaker prune raises them, a wrong one usually moves them
-        totals = []
+        totals, bound_prunes = [], []
         for g in connected_er_graphs(3, 50, 0.1, base_seed=9000):
             stats = SearchStats()
             propagate(g, init_kernel(g, most_central_vertex(g)), stats=stats)
             totals.append(stats.nodes)
-        assert totals == [26_224, 27_304, 53_548]
+            bound_prunes.append(stats.bound_prunes)
+        assert totals == [26_649, 27_802, 54_137]
+        assert bound_prunes == [6_236, 5_696, 15_631]
 
     def test_search_counters_repeat_on_cold_runs(self):
         # every counter of er9003's propagate, from two new interpreters with
@@ -374,5 +376,5 @@ class TestBudgetedSearch:
             )
             runs.append(SearchStats(*ast.literal_eval(run.stdout)))
         assert runs[0] == runs[1]
-        assert runs[0].nodes == 53_548
+        assert runs[0].nodes == 54_137
         assert runs[0].pair_prunes > 0, "the pair bump never pruned"

@@ -16,6 +16,7 @@ rule is made slightly wrong; a PR that adds a rule adds its mutants here.
 from __future__ import annotations
 
 import os
+import resource
 import shutil
 import subprocess
 import sys
@@ -33,6 +34,13 @@ SEARCH_TESTS = (
     "tests/test_propagation.py",
 )
 TIMEOUT_S = 1800
+# a mutant that drops a size check asks for terabytes; under this cap the
+# allocation fails at once wherever the kernel would overcommit it
+ADDRESS_SPACE_CAP = 4 << 30
+
+
+def _cap_address_space() -> None:
+    resource.setrlimit(resource.RLIMIT_AS, (ADDRESS_SPACE_CAP, ADDRESS_SPACE_CAP))
 
 
 @dataclass(frozen=True)
@@ -68,9 +76,6 @@ MUTANTS = (
     Mutant("images-reset-after-options-dropped", TRANSLATIONS,
            "                e_mask[i] ^= bit\n        images[j] = -1\n",
            "                e_mask[i] ^= bit\n"),
-    Mutant("images-reset-after-last-slot-dropped", TRANSLATIONS,
-           "            images[j] = -1\n            if leaf < best[:2]:",
-           "            if leaf < best[:2]:"),
     Mutant("node-tie-on-total-only", TRANSLATIONS,
            "tied = bound == best[0]", "tied = bound // W2 == best[0] // W2"),
     Mutant("child-tie-on-total-only", TRANSLATIONS,
@@ -110,7 +115,7 @@ MUTANTS = (
     Mutant("coordinates-accept-non-finite", "src/gcforge/graph.py",
            "if not all(map(math.isfinite, row)):", "if False:",
            ("tests/test_graph.py", "tests/test_cli.py")),
-    # option cutoff and last-slot resolve in the parent
+    # option cutoff in the parent
     Mutant("cutoff-prunes-ties", TRANSLATIONS,
            "if child > best[0]:", "if child >= best[0]:"),
     Mutant("base-shift-keeps-slot-share", TRANSLATIONS,
@@ -119,13 +124,6 @@ MUTANTS = (
            "base = bound - low", "base = bound - low + low % W"),
     Mutant("shift-estimate-plus-one", TRANSLATIONS,
            "child = base + opt", "child = base + opt + W"),
-    Mutant("last-slot-ignores-shift", TRANSLATIONS,
-           "images[j], inc = min(options)",
-           "images[j], inc = min(options, key=lambda o: (o[0] // W2, o[0] % W, o[1]))"),
-    Mutant("last-slot-image-not-written", TRANSLATIONS,
-           "opt, images[j], inc = min(options)", "opt, _, inc = min(options)"),
-    Mutant("last-slot-pairs-not-added", TRANSLATIONS,
-           "best = (*leaf, violations + inc)", "best = (*leaf, violations)"),
     Mutant("budget-limit-ceil", TRANSLATIONS,
            "math.floor(Fraction(budget) * scale)", "math.ceil(Fraction(budget) * scale)"),
     # one scan per open slot
@@ -145,6 +143,13 @@ MUTANTS = (
     Mutant("dataset-accepts-underscores", "src/gcforge/net.py",
            'if "_" in line or not line.isascii():', "if not line.isascii():",
            ("tests/test_net.py", "tests/test_cli.py")),
+    # size fields checked against the rows before anything is allocated
+    Mutant("scheme-count-unchecked", "src/gcforge/layer.py",
+           "if n > len(rows):", "if False:", ("tests/test_cli.py",)),
+    Mutant("placement-count-unchecked", "src/gcforge/layer.py",
+           "if missing < pm.n:", "if False:", ("tests/test_cli.py",)),
+    Mutant("class-count-unchecked", "src/gcforge/cli.py",
+           "if unseen < classes:", "if False:", ("tests/test_cli.py",)),
 )
 
 
@@ -170,6 +175,7 @@ def run(mutant: Mutant, work: Path) -> str:
             [sys.executable, "-m", "pytest", "-x", "-q", "-rfE", "-p", "no:cacheprovider",
              *mutant.tests],
             cwd=work, env=env, capture_output=True, text=True, timeout=TIMEOUT_S,
+            preexec_fn=_cap_address_space,
         )
     except subprocess.TimeoutExpired:
         return f"killed by timeout ({TIMEOUT_S} s)"
