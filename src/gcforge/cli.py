@@ -8,8 +8,11 @@ Exit codes: 0 success, 1 verification failure, 2 usage or data errors.
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import json
 import math
 import sys
+import time
 from pathlib import Path
 
 from . import net
@@ -39,7 +42,7 @@ from .propagation import (
     propagate,
     serialize_placements,
 )
-from .translations import TranslationError
+from .translations import SearchStats, TranslationError
 
 
 class UsageError(Exception):
@@ -90,13 +93,19 @@ def cmd_infer_graph(args) -> int:
 
 
 def cmd_translate(args) -> int:
-    g = load_edge_list(_read(args.graph))
+    start = time.perf_counter()
+    g = load_edge_list(_read(args.graph), connected=True)
     seed = args.seed_vertex if args.seed_vertex is not None else most_central_vertex(g)
     if not (0 <= seed < g.n):
         raise UsageError(f"--seed-vertex {seed} out of range 0..{g.n - 1}")
     kernel = init_kernel(g, seed, radius=args.radius)
-    pm = propagate(g, kernel, alpha=args.alpha, beta=args.beta)
+    stats = SearchStats()
+    pm = propagate(g, kernel, alpha=args.alpha, beta=args.beta, stats=stats)
     _write(args.out, serialize_placements(pm))
+    if args.stats_out is not None:
+        run = {"stage": "translate", "wall_s": time.perf_counter() - start,
+               "search": dataclasses.asdict(stats)}
+        _write(args.stats_out, json.dumps(run, indent=2) + "\n")
     report = placement_report(pm)
     print(f"wrote {args.out}: seed vertex {seed}, kernel size {pm.k}")
     print(report.render(), end="")
@@ -136,7 +145,7 @@ def _check_seed_kernel(g: Graph, pm: PlacementMap) -> None:
 
 
 def cmd_make_dataset(args) -> int:
-    g = load_edge_list(_read(args.graph))
+    g = load_edge_list(_read(args.graph), connected=True)
     pm = parse_placements(_read(args.placements))
     if pm.n != g.n:
         raise UsageError(f"placements cover n={pm.n} but graph has n={g.n}")
@@ -210,6 +219,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed-vertex", type=int, default=None,
                    help="override the centrality-chosen seed vertex")
     p.add_argument("--out", required=True, help="placement-map output path")
+    p.add_argument("--stats-out", default=None,
+                   help="optional JSON output: search counters and the stage's wall time")
     p.set_defaults(func=cmd_translate)
 
     p = sub.add_parser("build-layer", help="weight-sharing scheme from placements")

@@ -152,22 +152,25 @@ def _float(field: str) -> float:
     return float(field)
 
 
-def load_edge_list(text: str) -> Graph:
+def load_edge_list(text: str, *, connected: bool = False) -> Graph:
     """Parse edge-list text: first line ``n``, then ``u v`` lines.
 
-    ``#`` starts a comment line; duplicate undirected edges collapse.
+    ``#`` starts a comment line; duplicate undirected edges collapse. With
+    ``connected``, a count ``n`` above the edge lines plus one is rejected
+    before the graph is built, since no such graph is connected.
     """
     lines = iter(_significant_lines(text))
     try:
-        line_no, header = next(lines)
+        header_no, header = next(lines)
     except StopIteration:
         raise EdgeListFormatError("empty input: missing vertex count") from None
     try:
         n = _int(header)  # the whole stripped line: one field, no spaces
     except ValueError:
-        raise EdgeListFormatError(f"expected a single vertex count, got {header!r}", line_no) from None
+        raise EdgeListFormatError(
+            f"expected a single vertex count, got {header!r}", header_no) from None
     if n < 0:
-        raise EdgeListFormatError(f"vertex count must be nonnegative, got {n}", line_no)
+        raise EdgeListFormatError(f"vertex count must be nonnegative, got {n}", header_no)
 
     edges: list[tuple[int, int]] = []
     for line_no, line in lines:
@@ -183,6 +186,9 @@ def load_edge_list(text: str) -> Graph:
         if not (0 <= u < n) or not (0 <= v < n):
             raise EdgeListFormatError(f"vertex id out of range 0..{n - 1} in {line!r}", line_no)
         edges.append((u, v))
+    if connected and n > len(edges) + 1:
+        raise EdgeListFormatError(f"graph is not connected: {n} vertices need {n - 1} "
+                                  f"edges, the file lists {len(edges)}", header_no)
     return Graph(n, edges)
 
 

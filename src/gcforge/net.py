@@ -73,6 +73,9 @@ def dataset_to_csv(ds: Dataset) -> str:
     return "\n".join(lines) + "\n"
 
 
+_LABEL_MAX = np.iinfo(np.int64).max  # labels are held as int64
+
+
 def dataset_from_csv(text: str, expect_n: int | None = None) -> Dataset:
     """Parse dataset CSV: a header row whose last column is ``label``, then
     one sample per row. ``expect_n`` checks the signal width."""
@@ -105,6 +108,9 @@ def dataset_from_csv(text: str, expect_n: int | None = None) -> Dataset:
             raise DatasetFormatError(f"signal values must be finite, got {bad!r}", line_no)
         if labels[-1] < 0:
             raise DatasetFormatError(f"label must be nonnegative, got {labels[-1]}", line_no)
+        if labels[-1] > _LABEL_MAX:
+            raise DatasetFormatError(f"label must be at most {_LABEL_MAX}, got {labels[-1]}",
+                                     line_no)
     if not rows:
         raise DatasetFormatError("no data rows found")
     ds = Dataset(np.array(rows), np.array(labels))

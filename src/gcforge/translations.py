@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 from .graph import Graph
@@ -263,7 +262,11 @@ def find_local_translation(
     A, B, scale = exact_weights(alpha, beta)
     if math.isnan(budget):
         raise TranslationError("budget must not be nan")
-    limit = budget if math.isinf(budget) else math.floor(Fraction(budget) * scale)
+    if math.isinf(budget):
+        limit = budget
+    else:  # floor(budget * scale), exact for a float, an int or a Fraction
+        p, q = budget.as_integer_ratio()
+        limit = p * scale // q
     center = placement.center
     if not g.has_edge(center, target):
         raise AdjacencyError(f"target {target} is not adjacent to center {center}")
@@ -297,6 +300,9 @@ def find_local_translation(
     # per slot, every candidate (w, 1 << w, nbr[w], shift key), fixed for the call
     cands = [[(w, 1 << w, nbr[w], 0 if w - v == delta else W) for w in g.neighbors(v)]
              for v in verts]
+    # a contested slot's (nbr[verts[j]], OR nbr[w], AND nbr[w] | 1 << w) over
+    # its min-level images w, which depend on nothing but (slot, those images)
+    span_of: dict[tuple[int, int], tuple[int, int, int]] = {}
 
     def search(unassigned: list[int], used_mask: int, key: int, violations: int) -> None:
         nonlocal best
@@ -311,28 +317,25 @@ def find_local_translation(
         # cheapest option, an option being a free neighbor (B*conflicts,
         # shift flag) or the loss. Conflicts between two open slots are
         # not counted. Deeper, a slot's option keys only rise, so the bound
-        # only grows. The option cutoff below relies on this, and so does
-        # the tie cut: a child whose estimate equals the incumbent's key is
-        # cut when its image prefix already loses the image tie-break. A
-        # node whose bound equals that key branches on its lowest open
-        # slot, so that the prefix grows and the cut fires sooner.
+        # only grows; keys are nonnegative, so the scan stops as soon as the
+        # running sum loses. The option cutoff below relies on this, and so
+        # does the tie cut: a child whose estimate equals the incumbent's key
+        # is cut when its image prefix already loses the image tie-break. A
+        # node whose bound equals that key branches on its lowest open slot,
+        # so that the prefix grows and the cut fires sooner.
         bound = key
-        branch = None  # (selection key, slot, its minimum, its options)
-        first = None  # (slot, its minimum, its options) of the lowest open slot
+        branch = None  # (-its minimum, its free candidates, slot), least first
         # a slot whose cheapest option is an image competes for the images
         # at that key; each one that cannot have one pays its step, the
         # distance to its next key level
         contested: list[tuple[int, int, int]] = []  # (slot, min-level images, step)
         for j in unassigned:
             em = e_mask[j]
-            options = [(loss_key, lost, 0)]  # (key, image, pairs)
             low, low_imgs, low2 = loss_key, 0, math.inf
             for w, bit, nw, s in cands[j]:
                 if used_mask & bit:
                     continue
-                inc = ((em ^ nw) & used_mask).bit_count()
-                c = BW2 * inc + s
-                options.append((c, w, inc))
+                c = BW2 * ((em ^ nw) & used_mask).bit_count() + s
                 if c > low:
                     if c < low2:
                         low2 = c
@@ -341,17 +344,16 @@ def find_local_translation(
                 else:
                     low_imgs |= bit
             bound += low
+            if bound > best[0]:
+                counts.bound_prunes += 1
+                return
             if low_imgs:
                 contested.append((j, low_imgs, low2 - low))
-            if first is None:
-                first = (j, low, options)
-            # branch on the most expensive slot, then the most constrained
-            sel = (-low, len(options), j)
-            if branch is None or sel < branch[0]:
-                branch = (sel, j, low, options)
-        if bound > best[0]:
-            counts.bound_prunes += 1
-            return
+            # branch on the most expensive slot, then the one with the fewest
+            # free candidates (its neighbors outside used_mask)
+            sel = (-low, (nbr[verts[j]] & ~used_mask).bit_count(), j)
+            if branch is None or sel < branch:
+                branch = sel
         tied = bound == best[0]
         steps = sorted(c[2] for c in contested)
         gap = best[0] - bound  # a bump above this prunes
@@ -359,11 +361,20 @@ def find_local_translation(
         # bump exceeds the sum of all steps but the largest
         if sum(steps[:-1]) > gap:
             # matching: at most a max matching of contested slots take
-            # min-level images; every other one pays its step
-            unmatched = len(contested) - _max_bit_matching([c[1] for c in contested])
+            # min-level images; every other one pays its step. A greedy
+            # matching is no larger, so Kuhn's runs only when its count prunes.
+            unmatched, held = 0, 0
+            for _, imgs, _ in contested:
+                imgs &= ~held
+                if imgs:
+                    held |= imgs & -imgs
+                else:
+                    unmatched += 1
             if sum(steps[:unmatched]) > gap:
-                counts.matching_prunes += 1
-                return
+                unmatched = len(contested) - _max_bit_matching([c[1] for c in contested])
+                if sum(steps[:unmatched]) > gap:
+                    counts.matching_prunes += 1
+                    return
             # pairs: slots a, b pay min(step_a, step_b) unless min-level
             # images u != w agree on adjacency with verts[a] ~ verts[b]
             # (capped at one broken pair when distinct ones exist). Disjoint
@@ -372,11 +383,14 @@ def find_local_translation(
             spans = []  # (slot, images, step, its nbr mask, OR nbr[w], AND nbr[w] | 1 << w)
             if sum(steps[-2::-2]) > gap:
                 for j, imgs, step in contested:
-                    ors, ands = 0, -1
-                    for w, bit, nw, _ in cands[j]:
-                        if imgs & bit:
-                            ors, ands = ors | nw, ands & (nw | bit)
-                    spans.append((j, imgs, step, nbr[verts[j]], ors, ands))
+                    span = span_of.get((j, imgs))
+                    if span is None:
+                        ors, ands = 0, -1
+                        for w, bit, nw, _ in cands[j]:
+                            if imgs & bit:
+                                ors, ands = ors | nw, ands & (nw | bit)
+                        span = span_of[j, imgs] = (nbr[verts[j]], ors, ands)
+                    spans.append((j, imgs, step, *span))
             pairs = []
             for x, (a, ia, sa, na, ors, ands) in enumerate(spans):
                 for b, ib, sb, _, _, _ in spans[x + 1:]:
@@ -389,16 +403,22 @@ def find_local_translation(
                 if not taken & (1 << a | 1 << b):
                     taken |= 1 << a | 1 << b
                     bump += d
-            if bump > gap:
-                counts.pair_prunes += 1
-                return
+                    if bump > gap:
+                        counts.pair_prunes += 1
+                        return
 
-        j, low, options = first if tied else branch[1:]
-        rest = [i for i in unassigned if i != j]
+        j = unassigned[0] if tied else branch[2]
+        em = e_mask[j]
+        options = [(loss_key, lost, 0)]  # (key, image, pairs)
+        for w, bit, nw, s in cands[j]:
+            if not used_mask & bit:
+                inc = ((em ^ nw) & used_mask).bit_count()
+                options.append((BW2 * inc + s, w, inc))
         options.sort()
+        rest = [i for i in unassigned if i != j]
         mask_j = nbr[verts[j]]
         adjacent = [i for i in rest if mask_j >> verts[i] & 1]
-        base = bound - low  # the bound without j's share
+        base = bound - options[0][0]  # the bound without j's share
 
         for opt, w, inc in options:
             # a child's bound is >= this one, so the first option that

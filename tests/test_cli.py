@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -7,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import gcforge
 from gcforge.cli import main
 from gcforge.graph import (
     CoordinateSet,
@@ -22,6 +25,8 @@ from gcforge.propagation import (
     propagate,
     serialize_placements,
 )
+
+from conftest import connected_er_graphs
 
 
 def run_cli(*args) -> int:
@@ -134,14 +139,53 @@ class TestTranslate:
         assert not (tmp_path / "p.txt").exists()
 
     def test_disconnected_with_seed_vertex_exits_2(self, tmp_path, capsys):
-        # the seed skips centrality, so propagation is what must refuse
-        (tmp_path / "d.edges").write_text("4\n0 1\n2 3\n", encoding="utf-8")
+        # the seed skips centrality, so propagation is what must refuse; the
+        # triangle gives the graph enough edge lines to pass the loader
+        (tmp_path / "d.edges").write_text("5\n0 1\n1 2\n2 0\n3 4\n", encoding="utf-8")
         code = run_cli("translate", "--graph", str(tmp_path / "d.edges"),
                        "--seed-vertex", "0", "--out", str(tmp_path / "p.txt"))
         err = capsys.readouterr().err
         assert code == 2
         assert "not connected" in err and err.count("\n") == 1
         assert not (tmp_path / "p.txt").exists()
+
+    def test_stats_out_repeats_on_cold_runs(self, tmp_path):
+        # two fresh interpreters with different string-hash seeds write the
+        # same counters, and the stats file leaves the placements as they are
+        g = connected_er_graphs(1, 20, 0.2, 3000)[0]
+        (tmp_path / "g.edges").write_text(dump_edge_list(g), encoding="utf-8")
+        expected = serialize_placements(propagate(g, init_kernel(g, most_central_vertex(g))))
+        paths = [str(Path(__file__).parent), str(Path(gcforge.__file__).parents[1])]
+        runs = []
+        for hash_seed in ("1", "2"):
+            out, stats_out = tmp_path / f"{hash_seed}.txt", tmp_path / f"{hash_seed}.json"
+            subprocess.run(
+                [sys.executable, "-m", "gcforge.cli", "translate", "--graph",
+                 str(tmp_path / "g.edges"), "--out", str(out), "--stats-out", str(stats_out)],
+                capture_output=True, env={**os.environ, "PYTHONHASHSEED": hash_seed,
+                                          "PYTHONPATH": os.pathsep.join(paths)}, check=True,
+            )
+            runs.append(json.loads(stats_out.read_text(encoding="utf-8")))
+            assert out.read_text(encoding="utf-8") == expected
+        assert runs[0]["search"] == runs[1]["search"]
+        assert runs[0]["stage"] == "translate" and runs[0]["wall_s"] > 0
+        assert runs[0]["search"]["nodes"] > 0
+
+    @pytest.mark.parametrize("stage", ["translate", "make-dataset"])
+    def test_vertex_count_above_its_edges_exits_2(self, tmp_path, capsys, stage):
+        # a connected graph on n vertices has n - 1 edges or more; a graph
+        # built from this header alone would hold 10**11 adjacency lists
+        (tmp_path / "big.edges").write_text("100000000000\n", encoding="utf-8")
+        extra = (["--placements", str(tmp_path / "p.txt"), "--samples-per-class", "1"]
+                 if stage == "make-dataset" else [])
+        code = run_cli(stage, "--graph", str(tmp_path / "big.edges"), *extra,
+                       "--out", str(tmp_path / "out"))
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: line 1: graph is not connected: 100000000000 vertices need "
+            "99999999999 edges, the file lists 0\n"
+        )
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("text, line", [
         ("--5\n", 1), ("²\n", 1), ("3²\n", 1), ("٣\n", 1),
@@ -496,6 +540,25 @@ class TestTrainCommand:
         )
         assert code == 2
         assert capsys.readouterr().err == f"error: line 3: non-numeric field in {row!r}\n"
+        assert not (tmp_path / "m.csv").exists()
+
+    def test_label_beyond_int64_exits_2(self, tmp_path, capsys):
+        # labels are held as int64, which cannot take 2**63 or more
+        (tmp_path / "s.scheme").write_text("2 1\n0 0 0\n1 1 0\n", encoding="utf-8")
+        self._write_separable(tmp_path / "d.csv", 2, 4, seed=0)
+        (tmp_path / "big.csv").write_text(
+            "x0,x1,label\n0.5,1.0,0\n0.1,0.2,1000000000000000000000000000000\n",
+            encoding="utf-8")
+        code = run_cli(
+            "train", "--scheme", str(tmp_path / "s.scheme"), "--epochs", "1",
+            "--train-data", str(tmp_path / "d.csv"), "--test-data", str(tmp_path / "big.csv"),
+            "--metrics-out", str(tmp_path / "m.csv"),
+        )
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: line 3: label must be at most 9223372036854775807, "
+            "got 1000000000000000000000000000000\n"
+        )
         assert not (tmp_path / "m.csv").exists()
 
     @pytest.mark.parametrize("split, missing", [("train", 1), ("test", 2)])

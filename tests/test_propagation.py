@@ -342,15 +342,20 @@ class TestBudgetedSearch:
 
     def test_search_node_totals(self):
         # exact counts of search nodes over propagate on the three er-tail
-        # graphs: a weaker prune raises them, a wrong one usually moves them
-        totals, bound_prunes = [], []
+        # graphs: a weaker prune raises them, a wrong one usually moves them.
+        # The prunes of each kind are pinned too, so a shortcut that skips
+        # work is seen to change no decision.
+        counts = []
         for g in connected_er_graphs(3, 50, 0.1, base_seed=9000):
             stats = SearchStats()
             propagate(g, init_kernel(g, most_central_vertex(g)), stats=stats)
-            totals.append(stats.nodes)
-            bound_prunes.append(stats.bound_prunes)
-        assert totals == [26_649, 27_802, 54_137]
-        assert bound_prunes == [6_236, 5_696, 15_631]
+            counts.append((stats.nodes, stats.bound_prunes, stats.matching_prunes,
+                           stats.pair_prunes))
+        assert counts == [  # (nodes, bound, matching, pair prunes)
+            (26_649, 6_236, 4_342, 2_675),
+            (27_802, 5_696, 2_805, 2_567),
+            (54_137, 15_631, 9_018, 10_029),
+        ]
 
     def test_search_counters_repeat_on_cold_runs(self):
         # every counter of er9003's propagate, from two new interpreters with

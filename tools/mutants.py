@@ -61,7 +61,8 @@ MUTANTS = (
     Mutant("pair-bump-prunes-ties", TRANSLATIONS,
            "if bump > gap:", "if bump >= gap:"),
     Mutant("matching-bump-prunes-ties", TRANSLATIONS,
-           "if sum(steps[:unmatched]) > gap:", "if sum(steps[:unmatched]) >= gap:"),
+           "contested])\n                if sum(steps[:unmatched]) > gap:",
+           "contested])\n                if sum(steps[:unmatched]) >= gap:"),
     Mutant("bumps-summed", TRANSLATIONS,
            "if bump > gap:", "if bump + sum(steps[:unmatched]) > gap:"),
     Mutant("bump-gate-drops-a-step", TRANSLATIONS,
@@ -83,10 +84,13 @@ MUTANTS = (
     Mutant("strict-budget-on-equal-losses", PROPAGATION,
            "(bar[1] < here[1])", "(bar[1] <= here[1])"),
     Mutant("tie-node-branches-on-selected-slot", TRANSLATIONS,
-           "= first if tied else branch[1:]", "= branch[1:]"),
+           "j = unassigned[0] if tied else branch[2]", "j = branch[2]"),
     # one conflict mask per slot, one incumbent, one lost-slot encoding
     Mutant("conflicts-without-used-mask", TRANSLATIONS,
            "inc = ((em ^ nw) & used_mask).bit_count()", "inc = (em ^ nw).bit_count()"),
+    Mutant("bound-conflicts-without-used-mask", TRANSLATIONS,
+           "c = BW2 * ((em ^ nw) & used_mask).bit_count() + s",
+           "c = BW2 * (em ^ nw).bit_count() + s"),
     Mutant("flip-not-undone", TRANSLATIONS,
            "violations + inc)\n            for i in adjacent:\n                e_mask[i] ^= bit\n",
            "violations + inc)\n"),
@@ -119,16 +123,15 @@ MUTANTS = (
     Mutant("cutoff-prunes-ties", TRANSLATIONS,
            "if child > best[0]:", "if child >= best[0]:"),
     Mutant("base-shift-keeps-slot-share", TRANSLATIONS,
-           "base = bound - low", "base = bound - low + low % W2 // W * W"),
+           "base = bound - options[0][0]",
+           "base = bound - options[0][0] + options[0][0] % W2 // W * W"),
     Mutant("base-losses-keeps-slot-share", TRANSLATIONS,
-           "base = bound - low", "base = bound - low + low % W"),
+           "base = bound - options[0][0]", "base = bound - options[0][0] + options[0][0] % W"),
     Mutant("shift-estimate-plus-one", TRANSLATIONS,
            "child = base + opt", "child = base + opt + W"),
-    Mutant("budget-limit-ceil", TRANSLATIONS,
-           "math.floor(Fraction(budget) * scale)", "math.ceil(Fraction(budget) * scale)"),
     # one scan per open slot
-    Mutant("branch-on-last-scanned-options", TRANSLATIONS,
-           "j, low, options = first", "j, low, _ = first"),
+    Mutant("option-takes-a-used-image", TRANSLATIONS,
+           "if not used_mask & bit:", "if True:"),
     Mutant("shift-flag-from-center", TRANSLATIONS,
            "0 if w - v == delta else W", "0 if w - center == delta else W"),
     Mutant("used-image-not-skipped", TRANSLATIONS,
@@ -150,6 +153,23 @@ MUTANTS = (
            "if missing < pm.n:", "if False:", ("tests/test_cli.py",)),
     Mutant("class-count-unchecked", "src/gcforge/cli.py",
            "if unseen < classes:", "if False:", ("tests/test_cli.py",)),
+    Mutant("edge-count-unchecked", "src/gcforge/graph.py",
+           "if connected and n > len(edges) + 1:", "if False:", ("tests/test_cli.py",)),
+    Mutant("label-width-unchecked", "src/gcforge/net.py",
+           "if labels[-1] > _LABEL_MAX:", "if False:", ("tests/test_net.py", "tests/test_cli.py")),
+    # cheaper search nodes: each shortcut skips work and changes no decision.
+    # The scan and the pair sum now stop at their first loss, so
+    # bound-prunes-ties and pair-bump-prunes-ties above mutate those exits.
+    Mutant("greedy-count-is-final", TRANSLATIONS,
+           "unmatched = len(contested) - _max_bit_matching([c[1] for c in contested])",
+           "pass"),
+    Mutant("span-cache-keyed-by-slot", TRANSLATIONS,  # any span cached for slot j
+           "span = span_of.get((j, imgs))",
+           "span = next((v for (i, _), v in span_of.items() if i == j), None)"),
+    Mutant("budget-limit-ceil", TRANSLATIONS,
+           "limit = p * scale // q", "limit = -(-p * scale // q)"),
+    Mutant("branch-counts-used-candidates", TRANSLATIONS,
+           "(nbr[verts[j]] & ~used_mask).bit_count()", "nbr[verts[j]].bit_count()"),
 )
 
 
