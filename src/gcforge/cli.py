@@ -77,17 +77,24 @@ def _read(path: str) -> str:
         raise UsageError(f"{path}: {exc.strerror or exc}") from None
 
 
-def _write(path: str, text: str) -> None:
-    try:
-        Path(path).write_text(text, encoding="utf-8")
-    except OSError as exc:
-        raise UsageError(f"{path}: {exc.strerror or exc}") from None
+def _write(*outputs: tuple[str, str]) -> None:
+    """Write each (path, text); when one fails, remove those already
+    written, so that a stage which exits 2 leaves no output behind."""
+    written = []
+    for path, text in outputs:
+        try:
+            Path(path).write_text(text, encoding="utf-8")
+        except OSError as exc:
+            for done in written:
+                Path(done).unlink(missing_ok=True)
+            raise UsageError(f"{path}: {exc.strerror or exc}") from None
+        written.append(path)
 
 
 def cmd_infer_graph(args) -> int:
     coords = load_coordinates(_read(args.coords))
     g = infer_knn_graph(coords, args.k)
-    _write(args.out, dump_edge_list(g))
+    _write((args.out, dump_edge_list(g)))
     print(f"wrote {args.out}: {g.n} vertices, {len(g.edges)} edges")
     return 0
 
@@ -101,11 +108,12 @@ def cmd_translate(args) -> int:
     kernel = init_kernel(g, seed, radius=args.radius)
     stats = SearchStats()
     pm = propagate(g, kernel, alpha=args.alpha, beta=args.beta, stats=stats)
-    _write(args.out, serialize_placements(pm))
+    outputs = [(args.out, serialize_placements(pm))]
     if args.stats_out is not None:
         run = {"stage": "translate", "wall_s": time.perf_counter() - start,
                "search": dataclasses.asdict(stats)}
-        _write(args.stats_out, json.dumps(run, indent=2) + "\n")
+        outputs.append((args.stats_out, json.dumps(run, indent=2) + "\n"))
+    _write(*outputs)
     report = placement_report(pm)
     print(f"wrote {args.out}: seed vertex {seed}, kernel size {pm.k}")
     print(report.render(), end="")
@@ -115,7 +123,7 @@ def cmd_translate(args) -> int:
 def cmd_build_layer(args) -> int:
     pm = parse_placements(_read(args.placements))
     scheme = build_scheme(pm)
-    _write(args.out, export_scheme(scheme))
+    _write((args.out, export_scheme(scheme)))
     print(f"wrote {args.out}: scheme with {len(scheme.triples)} wires, K={scheme.k}")
     return 0
 
@@ -158,7 +166,7 @@ def cmd_make_dataset(args) -> int:
     ds = net.make_translated_dataset(
         g, pm, templates, args.samples_per_class, sigma=args.sigma, seed=args.seed
     )
-    _write(args.out, net.dataset_to_csv(ds))
+    _write((args.out, net.dataset_to_csv(ds)))
     print(f"wrote {args.out}: {len(ds)} samples, {args.classes} classes")
     return 0
 
@@ -185,9 +193,10 @@ def cmd_train(args) -> int:
     )
     config = net.TrainConfig(lr=args.lr, epochs=args.epochs, batch_size=args.batch, seed=args.seed)
     history = net.train(model, train_ds, test_ds, config)
-    _write(args.metrics_out, history.to_csv())
+    outputs = [(args.metrics_out, history.to_csv())]
     if args.checkpoint_out is not None:
-        _write(args.checkpoint_out, net.save_checkpoint(model))
+        outputs.append((args.checkpoint_out, net.save_checkpoint(model)))
+    _write(*outputs)
     final = history.records[-1] if history.records else None
     if final is not None:
         print(

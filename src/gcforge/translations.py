@@ -300,9 +300,6 @@ def find_local_translation(
     # per slot, every candidate (w, 1 << w, nbr[w], shift key), fixed for the call
     cands = [[(w, 1 << w, nbr[w], 0 if w - v == delta else W) for w in g.neighbors(v)]
              for v in verts]
-    # a contested slot's (nbr[verts[j]], OR nbr[w], AND nbr[w] | 1 << w) over
-    # its min-level images w, which depend on nothing but (slot, those images)
-    span_of: dict[tuple[int, int], tuple[int, int, int]] = {}
 
     def search(unassigned: list[int], used_mask: int, key: int, violations: int) -> None:
         nonlocal best
@@ -383,14 +380,11 @@ def find_local_translation(
             spans = []  # (slot, images, step, its nbr mask, OR nbr[w], AND nbr[w] | 1 << w)
             if sum(steps[-2::-2]) > gap:
                 for j, imgs, step in contested:
-                    span = span_of.get((j, imgs))
-                    if span is None:
-                        ors, ands = 0, -1
-                        for w, bit, nw, _ in cands[j]:
-                            if imgs & bit:
-                                ors, ands = ors | nw, ands & (nw | bit)
-                        span = span_of[j, imgs] = (nbr[verts[j]], ors, ands)
-                    spans.append((j, imgs, step, *span))
+                    ors, ands = 0, -1
+                    for w, bit, nw, _ in cands[j]:
+                        if imgs & bit:
+                            ors, ands = ors | nw, ands & (nw | bit)
+                    spans.append((j, imgs, step, nbr[verts[j]], ors, ands))
             pairs = []
             for x, (a, ia, sa, na, ors, ands) in enumerate(spans):
                 for b, ib, sb, _, _, _ in spans[x + 1:]:

@@ -171,6 +171,15 @@ class TestTranslate:
         assert runs[0]["stage"] == "translate" and runs[0]["wall_s"] > 0
         assert runs[0]["search"]["nodes"] > 0
 
+    def test_unwritable_stats_out_leaves_no_placements(self, workdir, capsys):
+        code = run_cli("translate", "--graph", str(workdir / "path.edges"),
+                       "--out", str(workdir / "p.txt"),
+                       "--stats-out", str(workdir / "missing" / "s.json"))
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and "s.json" in err and err.count("\n") == 1
+        assert not (workdir / "p.txt").exists()
+
     @pytest.mark.parametrize("stage", ["translate", "make-dataset"])
     def test_vertex_count_above_its_edges_exits_2(self, tmp_path, capsys, stage):
         # a connected graph on n vertices has n - 1 edges or more; a graph
@@ -480,6 +489,20 @@ class TestTrainCommand:
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith("error: line 1: ") and err.count("\n") == 1
+        assert not (tmp_path / "m.csv").exists()
+
+    def test_unwritable_checkpoint_leaves_no_metrics(self, tmp_path, capsys):
+        (tmp_path / "s.scheme").write_text("2 1\n0 0 0\n1 1 0\n", encoding="utf-8")
+        self._write_separable(tmp_path / "d.csv", 2, 4, seed=0)
+        code = run_cli(
+            "train", "--scheme", str(tmp_path / "s.scheme"), "--epochs", "1",
+            "--train-data", str(tmp_path / "d.csv"), "--test-data", str(tmp_path / "d.csv"),
+            "--metrics-out", str(tmp_path / "m.csv"),
+            "--checkpoint-out", str(tmp_path / "missing" / "model.ckpt"),
+        )
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and "model.ckpt" in err and err.count("\n") == 1
         assert not (tmp_path / "m.csv").exists()
 
     def test_negative_label_exits_2(self, workdir, capsys):

@@ -157,15 +157,15 @@ MUTANTS = (
            "if connected and n > len(edges) + 1:", "if False:", ("tests/test_cli.py",)),
     Mutant("label-width-unchecked", "src/gcforge/net.py",
            "if labels[-1] > _LABEL_MAX:", "if False:", ("tests/test_net.py", "tests/test_cli.py")),
+    # a stage that exits 2 removes the outputs it wrote before the failure
+    Mutant("failed-stage-keeps-outputs", "src/gcforge/cli.py",
+           "Path(done).unlink(missing_ok=True)", "pass", ("tests/test_cli.py",)),
     # cheaper search nodes: each shortcut skips work and changes no decision.
     # The scan and the pair sum now stop at their first loss, so
     # bound-prunes-ties and pair-bump-prunes-ties above mutate those exits.
     Mutant("greedy-count-is-final", TRANSLATIONS,
            "unmatched = len(contested) - _max_bit_matching([c[1] for c in contested])",
            "pass"),
-    Mutant("span-cache-keyed-by-slot", TRANSLATIONS,  # any span cached for slot j
-           "span = span_of.get((j, imgs))",
-           "span = next((v for (i, _), v in span_of.items() if i == j), None)"),
     Mutant("budget-limit-ceil", TRANSLATIONS,
            "limit = p * scale // q", "limit = -(-p * scale // q)"),
     Mutant("branch-counts-used-candidates", TRANSLATIONS,
