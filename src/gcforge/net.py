@@ -68,8 +68,9 @@ class Dataset:
 def dataset_to_csv(ds: Dataset) -> str:
     header = ",".join([f"x{i}" for i in range(ds.n)] + ["label"])
     lines = [header]
-    for row, label in zip(ds.signals, ds.labels):
-        lines.append(",".join([repr(float(x)) for x in row] + [str(int(label))]))
+    # row by row, as one tolist() would hold every value as a Python float
+    for row, label in zip(ds.signals, ds.labels.tolist()):
+        lines.append(",".join(map(repr, row.tolist() + [label])))
     return "\n".join(lines) + "\n"
 
 
@@ -83,11 +84,11 @@ def dataset_from_csv(text: str, expect_n: int | None = None) -> Dataset:
     labels: list[int] = []
     width: int | None = None
     for line_no, line in _significant_lines(text):
-        fields = [f.strip() for f in line.split(",")]
+        fields = line.split(",")  # unstripped: float() skips the spaces itself
         if width is None:
-            if fields[-1] != "label":
+            if fields[-1].strip() != "label":
                 raise DatasetFormatError(
-                    f"last column must be named 'label', got {fields[-1]!r}", line_no
+                    f"last column must be named 'label', got {fields[-1].strip()!r}", line_no
                 )
             width = len(fields) - 1
             continue
@@ -99,12 +100,15 @@ def dataset_from_csv(text: str, expect_n: int | None = None) -> Dataset:
         try:
             if "_" in line or not line.isascii():  # float() and int() take both
                 raise ValueError(line)
-            rows.append([float(f) for f in fields[:-1]])
-            labels.append(_int(fields[-1]))
+            try:
+                rows.append(list(map(float, fields[:-1])))
+            except ValueError:  # strip() also drops "\x1f", which float() refuses
+                rows.append([float(f.strip()) for f in fields[:-1]])
+            labels.append(_int(fields[-1].strip()))
         except ValueError:
             raise DatasetFormatError(f"non-numeric field in {line!r}", line_no) from None
         if not all(map(math.isfinite, rows[-1])):
-            bad = next(f for f in fields if not math.isfinite(float(f)))
+            bad = next(f.strip() for f in fields if not math.isfinite(float(f.strip())))
             raise DatasetFormatError(f"signal values must be finite, got {bad!r}", line_no)
         if labels[-1] < 0:
             raise DatasetFormatError(f"label must be nonnegative, got {labels[-1]}", line_no)

@@ -5,13 +5,16 @@ Each vertex keeps the single best placement seen so far, compared by
 (exact deformation cost, losses, slot-image sequence). The expansion is
 best-first over that key, a kept placement is revisited whenever a later
 chain improves it, and the loop runs until no kept placement can improve
-any neighbor. The result is a true fixed point of the per-vertex-winner
+any neighbor. A step waits in the same queue until the queue reaches the
+next cost it could have, so a step that a cheaper route has made useless
+is not searched. The result is a true fixed point of the per-vertex-winner
 process: re-running the relaxation over it changes nothing.
 """
 
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -171,6 +174,14 @@ def refine(g: Graph, pm: PlacementMap, stats: SearchStats | None = None) -> Plac
     return out
 
 
+def _next_cost(A: int, B: int, m: int, cost: int) -> int | float:
+    """Least ``A*x + B*y`` above ``cost`` over ``0 <= x < m`` and ``y >= 0``:
+    the next cost that a step of ``m`` live slots can have (``inf`` if none)."""
+    above = [A * x if A * x > cost else A * x + B * ((cost - A * x) // B + 1)
+             for x in range(m) if A * x > cost or B]
+    return min(above, default=math.inf)
+
+
 def _settle(g: Graph, pm: PlacementMap, stats: SearchStats | None) -> None:
     A, B, scale = exact_weights(pm.alpha, pm.beta)
 
@@ -180,34 +191,48 @@ def _settle(g: Graph, pm: PlacementMap, stats: SearchStats | None) -> None:
         return (A * acc.losses + B * acc.snp_violations, acc.losses, slots)
 
     best = pm.placements
+    # a placement (cost, losses, 1, slots, v), or a step that found no map
+    # at its last floor, deferred to the next floor f it could cost:
+    # (cost + f, losses, 0, seq, cost, source, target). On equal (cost,
+    # losses) steps pop first, in the order they were deferred, and a step
+    # keeps the source placement it was first tried from
     heap: list[tuple] = []
+    seq = itertools.count()
+
+    def push(v: int) -> None:
+        cost, losses, slots = key(best[v])
+        heapq.heappush(heap, (cost, losses, 1, slots, v))
+
     for v in sorted(best):
-        heapq.heappush(heap, (*key(best[v]), v))
+        push(v)
 
     while heap:
-        *here, u = heapq.heappop(heap)
-        placement = best[u]
-        if tuple(here) != key(placement):
-            continue  # stale entry
-        for t in g.neighbors(u):
+        entry = heapq.heappop(heap)
+        if entry[2]:
+            cost, losses, _, slots, u = entry
+            source = best[u]
+            if (cost, losses, slots) != key(source):
+                continue  # stale entry
+            steps = [(0, t) for t in g.neighbors(u)]
+        else:
+            level, losses, _, _, cost, source, t = entry
+            steps = [(level - cost, t)]
+        for floor, t in steps:
             incumbent = best.get(t)
-            budget = math.inf
             if incumbent is not None:
                 bar = key(incumbent)
-                # a step only adds cost and never resurrects lost slots, so an
-                # incumbent ahead on (cost, losses) is unbeatable from here,
-                # and a step above the cost difference cannot win; nor can
-                # one at exactly the difference when the incumbent has fewer
-                # losses (then it is ahead on cost too, so the gap is >= 1)
-                if bar[:2] < tuple(here[:2]):
+                # a step only adds cost and never resurrects lost slots, so a
+                # step above the cost difference cannot win; nor can one at
+                # exactly the difference when the incumbent has fewer losses
+                if bar[0] - cost - (bar[1] < losses) < floor:
                     continue
-                budget = Fraction(bar[0] - here[0] - (bar[1] < here[1]), scale)
-            candidate = _step(g, placement, t, pm.alpha, pm.beta, budget, stats)
-            if candidate is None:
-                continue  # no translation fits the incumbent's budget
-            if incumbent is None or key(candidate) < bar:
+            candidate = _step(g, source, t, pm.alpha, pm.beta, Fraction(floor, scale), stats)
+            if candidate is None:  # every map costs more: retry at the next level
+                level = cost + _next_cost(A, B, source.k - source.loss_count, floor)
+                heapq.heappush(heap, (level, losses, 0, next(seq), cost, source, t))
+            elif incumbent is None or key(candidate) < bar:
                 best[t] = candidate
-                heapq.heappush(heap, (*key(candidate), t))
+                push(t)
 
 
 @dataclass(frozen=True)

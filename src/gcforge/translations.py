@@ -198,11 +198,12 @@ def _max_bit_matching(masks: list[int]) -> int:
 @dataclass
 class SearchStats:
     """Counters that :func:`find_local_translation` adds to when given one:
-    search nodes expanded (every leaf is a node), searches that returned
+    calls, nodes expanded (every leaf is a node), searches that returned
     ``None`` because no map fit the budget, and nodes that returned early,
     by the test that cut them (bound, matching bump, pair bump). A tie with
     the incumbent cuts options in the parent, which no counter sees."""
 
+    searches: int = 0
     nodes: int = 0
     none_results: int = 0
     bound_prunes: int = 0
@@ -284,6 +285,7 @@ def find_local_translation(
 
     best = ((limit + 1) * W2 - 1, (), 0)  # (key, images, violations)
     counts = stats if stats is not None else SearchStats()
+    counts.searches += 1
     # an open slot reads -1, before every vertex id and the lost sentinel, so
     # tuple(images) > best[1] holds exactly when the first slot that differs
     # from the incumbent is assigned and carries a greater image

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -25,6 +26,7 @@ from gcforge.propagation import (
     propagate,
     serialize_placements,
 )
+from gcforge.translations import SearchStats
 
 from conftest import connected_er_graphs
 
@@ -151,10 +153,13 @@ class TestTranslate:
 
     def test_stats_out_repeats_on_cold_runs(self, tmp_path):
         # two fresh interpreters with different string-hash seeds write the
-        # same counters, and the stats file leaves the placements as they are
+        # library's counters, and the stats file leaves the placements as
+        # they are
         g = connected_er_graphs(1, 20, 0.2, 3000)[0]
         (tmp_path / "g.edges").write_text(dump_edge_list(g), encoding="utf-8")
-        expected = serialize_placements(propagate(g, init_kernel(g, most_central_vertex(g))))
+        stats = SearchStats()
+        expected = serialize_placements(
+            propagate(g, init_kernel(g, most_central_vertex(g)), stats=stats))
         paths = [str(Path(__file__).parent), str(Path(gcforge.__file__).parents[1])]
         runs = []
         for hash_seed in ("1", "2"):
@@ -167,9 +172,9 @@ class TestTranslate:
             )
             runs.append(json.loads(stats_out.read_text(encoding="utf-8")))
             assert out.read_text(encoding="utf-8") == expected
-        assert runs[0]["search"] == runs[1]["search"]
+        assert runs[0]["search"] == runs[1]["search"] == dataclasses.asdict(stats)
         assert runs[0]["stage"] == "translate" and runs[0]["wall_s"] > 0
-        assert runs[0]["search"]["nodes"] > 0
+        assert runs[0]["search"]["searches"] > 0 and runs[0]["search"]["nodes"] > 0
 
     def test_unwritable_stats_out_leaves_no_placements(self, workdir, capsys):
         code = run_cli("translate", "--graph", str(workdir / "path.edges"),

@@ -428,6 +428,30 @@ class TestDatasetCsv:
         text = dataset_to_csv(ds)
         assert dataset_to_csv(dataset_from_csv(text)) == text
 
+    def test_values_render_as_float_repr(self):
+        # each value writes as repr(float(x)) and each label as str(int(y)),
+        # extremes included, so a file reads back to the same float64 bits
+        signals = np.array([[-0.0, 5e-324, 1e22, 0.1 + 0.2], [1.0, -1e-300, np.pi, 2.0 ** 70]])
+        ds = Dataset(signals, np.array([0, 2 ** 63 - 1]))
+        lines = ["x0,x1,x2,x3,label"]
+        for row, label in zip(ds.signals, ds.labels):
+            lines.append(",".join([repr(float(x)) for x in row] + [str(int(label))]))
+        text = dataset_to_csv(ds)
+        assert text == "\n".join(lines) + "\n"
+        assert text.splitlines()[1] == "-0.0,5e-324,1e+22,0.30000000000000004,0"
+        back = dataset_from_csv(text)
+        assert back.signals.tobytes() == ds.signals.tobytes()
+        assert back.labels.tolist() == ds.labels.tolist()
+
+    def test_fields_read_with_surrounding_whitespace(self):
+        # fields are parsed unstripped, yet read as their stripped text did
+        ds = dataset_from_csv("x0 , x1 ,\tlabel \n 1.5 ,\t-2 , 3 \n0.5,\x1f2.0,1\n")
+        assert ds.signals.tolist() == [[1.5, -2.0], [0.5, 2.0]]
+        assert ds.labels.tolist() == [3, 1]
+        with pytest.raises(DatasetFormatError,
+                           match="^line 2: signal values must be finite, got 'inf'$"):
+            dataset_from_csv("x0,x1,label\n0.0, inf ,1\n")
+
     def test_missing_label_header_rejected(self):
         with pytest.raises(DatasetFormatError, match="label"):
             dataset_from_csv("x0,x1,y\n0.0,0.0,1\n")

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 import gcforge
 from gcforge.graph import (
@@ -24,6 +25,7 @@ from gcforge.graph import (
 from gcforge.propagation import (
     PlacementFormatError,
     _distance_sums,
+    _next_cost,
     closeness_centrality,
     init_kernel,
     most_central_vertex,
@@ -33,9 +35,15 @@ from gcforge.propagation import (
     refine,
     serialize_placements,
 )
-from gcforge.translations import KernelPlacement, SearchStats, TranslationError, ZERO_SCORE
+from gcforge.translations import (
+    KernelPlacement,
+    SearchStats,
+    TranslationError,
+    ZERO_SCORE,
+    exact_weights,
+)
 
-from conftest import ER50_SHA256, connected_er_graphs, path_graph, star_graph
+from conftest import PROFILE, ER50_SHA256, connected_er_graphs, path_graph, star_graph
 
 
 class TestCentrality:
@@ -341,20 +349,21 @@ class TestBudgetedSearch:
         assert stats.none_results > 0, "no search was cut off by its budget"
 
     def test_search_node_totals(self):
-        # exact counts of search nodes over propagate on the three er-tail
-        # graphs: a weaker prune raises them, a wrong one usually moves them.
-        # The prunes of each kind are pinned too, so a shortcut that skips
-        # work is seen to change no decision.
+        # exact counts of searches and search nodes over propagate on the
+        # three er-tail graphs: a weaker prune raises them, a wrong one
+        # usually moves them. The prunes of each kind are pinned too, so a
+        # shortcut that skips work is seen to change no decision. A deferred
+        # step retried at a higher floor counts as one more search.
         counts = []
         for g in connected_er_graphs(3, 50, 0.1, base_seed=9000):
             stats = SearchStats()
             propagate(g, init_kernel(g, most_central_vertex(g)), stats=stats)
-            counts.append((stats.nodes, stats.bound_prunes, stats.matching_prunes,
-                           stats.pair_prunes))
-        assert counts == [  # (nodes, bound, matching, pair prunes)
-            (26_649, 6_236, 4_342, 2_675),
-            (27_802, 5_696, 2_805, 2_567),
-            (54_137, 15_631, 9_018, 10_029),
+            counts.append((stats.searches, stats.nodes, stats.bound_prunes,
+                           stats.matching_prunes, stats.pair_prunes))
+        assert counts == [  # (searches, nodes, bound, matching, pair prunes)
+            (343, 18_821, 4_687, 3_537, 2_269),
+            (451, 14_429, 3_115, 2_136, 989),
+            (366, 44_386, 13_774, 9_588, 9_616),
         ]
 
     def test_search_counters_repeat_on_cold_runs(self):
@@ -381,5 +390,28 @@ class TestBudgetedSearch:
             )
             runs.append(SearchStats(*ast.literal_eval(run.stdout)))
         assert runs[0] == runs[1]
-        assert runs[0].nodes == 54_137
+        assert (runs[0].searches, runs[0].nodes) == (366, 44_386)
         assert runs[0].pair_prunes > 0, "the pair bump never pruned"
+
+
+def _next_cost_brute(A, B, m, cost):
+    # every A*x + B*y with x < m and y up to one step past cost
+    ys = range(cost // B + 2) if B else [0]
+    return min((A * x + B * y for x in range(m) for y in ys if A * x + B * y > cost),
+               default=math.inf)
+
+
+class TestNextCost:
+    # a deferred step is retried at the next cost it could have; a level
+    # skipped would retry it too late and change which map wins the target
+    @PROFILE
+    @given(st.integers(0, 7), st.integers(0, 7), st.integers(1, 8), st.data())
+    def test_matches_brute_force(self, A, B, m, data):
+        cost = data.draw(st.integers(0, A * (m - 1)))
+        assert _next_cost(A, B, m, cost) == _next_cost_brute(A, B, m, cost)
+
+    def test_large_dyadic_weights(self):
+        A, B, _ = exact_weights(2.5, 0.3)
+        levels = sorted({A * x + B * y for x in range(12) for y in range(40)})
+        for cost in [0, *levels[:60], levels[59] + 1, A * 11 - 1]:
+            assert _next_cost(A, B, 12, cost) == _next_cost_brute(A, B, 12, cost)

@@ -82,7 +82,7 @@ MUTANTS = (
     Mutant("child-tie-on-total-only", TRANSLATIONS,
            "if child == best[0] and", "if child // W2 == best[0] // W2 and"),
     Mutant("strict-budget-on-equal-losses", PROPAGATION,
-           "(bar[1] < here[1])", "(bar[1] <= here[1])"),
+           "(bar[1] < losses)", "(bar[1] <= losses)"),
     Mutant("tie-node-branches-on-selected-slot", TRANSLATIONS,
            "j = unassigned[0] if tied else branch[2]", "j = branch[2]"),
     # one conflict mask per slot, one incumbent, one lost-slot encoding
@@ -170,6 +170,15 @@ MUTANTS = (
            "limit = p * scale // q", "limit = -(-p * scale // q)"),
     Mutant("branch-counts-used-candidates", TRANSLATIONS,
            "(nbr[verts[j]] & ~used_mask).bit_count()", "nbr[verts[j]].bit_count()"),
+    # deferred steps in the settle queue: the same non-stale pops in the same order
+    Mutant("placements-before-deferred-steps", PROPAGATION,
+           "heapq.heappush(heap, (cost, losses, 1, slots, v))",
+           "heapq.heappush(heap, (cost, losses, -1, slots, v))"),
+    Mutant("deferred-drops-stale-source", PROPAGATION,
+           "steps = [(level - cost, t)]",
+           "steps = [(level - cost, t)] if best[source.center] is source else []"),
+    Mutant("next-cost-skips-a-level", PROPAGATION,
+           "A * x + B * ((cost - A * x) // B + 1)", "A * x + B * ((cost - A * x) // B + 2)"),
 )
 
 
