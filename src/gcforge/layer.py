@@ -85,7 +85,10 @@ class WeightSharingScheme:
 
 
 def build_scheme(pm: PlacementMap) -> WeightSharingScheme:
-    """One row per vertex: the slots of its placement, ``n`` where lost."""
+    """One row per vertex: the slots of its placement, ``n`` where lost.
+    A map with ``K`` above ``n`` is rejected, as the scheme format bounds it."""
+    if pm.k > pm.n:
+        raise SchemeError(f"kernel size K={pm.k} exceeds n={pm.n}")
     # of len + 1 ids one is missing, so this scan never runs to a huge n
     missing = next(v for v in range(len(pm.placements) + 1) if v not in pm.placements)
     if missing < pm.n:
@@ -164,7 +167,8 @@ def verify_grid_equivalence(s: WeightSharingScheme, rows: int, cols: int) -> Gri
 
 def export_scheme(s: WeightSharingScheme) -> str:
     """Canonical scheme text: header ``n K``, then ``out in idx`` lines
-    sorted by (out, idx)."""
+    sorted by (out, idx). ``K`` is at most ``n``; no line bounds it, since
+    lost slots are not listed."""
     lines = [f"{s.n} {s.k}"]
     lines.extend(f"{o} {i} {w}" for o, i, w in s.triples)
     return "\n".join(lines) + "\n"
@@ -193,6 +197,8 @@ def import_scheme(text: str) -> WeightSharingScheme:
                 raise SchemeFormatError(f"non-integer header field in {line!r}", line_no) from None
             if n < 0 or k < 1:
                 raise SchemeFormatError(f"header values out of range: {line!r}", line_no)
+            if k > n:  # checked before the n x K table is allocated
+                raise SchemeFormatError(f"header K={k} exceeds n={n}", line_no)
             continue
         if len(parts) != 3:
             raise SchemeFormatError(f"expected 'out in idx', got {line!r}", line_no)

@@ -287,6 +287,8 @@ def serialize_placements(pm: PlacementMap) -> str:
 
     ``score`` is ``alpha*losses + beta*pairs`` of the chain's summed counts,
     computed once from them. Lost slots render as ``⊥``. Encode as UTF-8.
+    ``K`` is at most ``n``, as in every map :func:`propagate` makes: a kernel
+    is a center and some of its neighbors.
     """
     lines = [HEADER_COMMENT, f"{pm.n} {pm.k} {pm.seed} {pm.alpha!r} {pm.beta!r}"]
     for v in sorted(pm.placements):
@@ -299,7 +301,8 @@ def serialize_placements(pm: PlacementMap) -> str:
 
 
 def parse_placements(text: str) -> PlacementMap:
-    """Parse the placement-map format produced by :func:`serialize_placements`."""
+    """Parse the placement-map format produced by :func:`serialize_placements`.
+    A header with ``K`` above ``n`` is rejected."""
     pm: PlacementMap | None = None
     for line_no, line in _significant_lines(text):
         if pm is None:
@@ -319,6 +322,8 @@ def parse_placements(text: str) -> PlacementMap:
                 raise PlacementFormatError(str(exc), line_no) from None
             if n < 0 or k < 1 or not (0 <= seed < max(n, 1)):
                 raise PlacementFormatError(f"header values out of range: {line!r}", line_no)
+            if k > n:
+                raise PlacementFormatError(f"header K={k} exceeds n={n}", line_no)
             pm = PlacementMap(n=n, k=k, seed=seed, alpha=alpha, beta=beta)
             continue
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Sequence
 
 from .graph import Graph
@@ -195,13 +196,57 @@ def _max_bit_matching(masks: list[int]) -> int:
     return sum(1 for i in range(len(masks)) if try_row(i, set()))
 
 
+_STEP = itemgetter(2)  # the step of a contested slot's (slot, min-level images, step)
+
+
+def _clique_bump(steps: list[int], bad: list[int], penalty: int, gap: float) -> float:
+    """Least extra key that clashing slots add to a search node's bound.
+
+    Slot ``x`` pays ``steps[x]`` (sorted descending) when it leaves its
+    cheapest level; bit ``y > x`` of ``bad[x]`` says that slots ``x`` and
+    ``y`` keep their cheapest levels together only by breaking the pair
+    between them, at ``penalty`` (bits below ``x`` are never read). The
+    slots are split greedily into cliques of clashing slots: each clique
+    starts at the first slot still free and takes each next free slot that
+    clashes with every member. In a clique
+    with steps ``s1 >= ... >= sq``, the ``t`` slots that keep their cheapest
+    level break ``t(t-1)/2`` pairs and the others pay their steps, so it
+    charges the least ``s_{t+1} + ... + s_q + t(t-1)/2 * penalty`` over
+    ``t = 1..q``. Cliques share no slot, so their charges add. Returns the
+    sum, or the first partial sum above ``gap``.
+    """
+    bump, free = 0, (1 << len(steps)) - 1
+    while free:
+        x = (free & -free).bit_length() - 1
+        free ^= 1 << x
+        cand = free & bad[x]
+        if not cand:  # a clique of one charges nothing
+            continue
+        clique, members = [steps[x]], 0
+        while cand:
+            y = (cand & -cand).bit_length() - 1
+            clique.append(steps[y])
+            members |= 1 << y
+            cand &= bad[y]
+        free &= ~members
+        rest = charge = sum(clique)
+        for t, s in enumerate(clique, 1):
+            rest -= s
+            charge = min(charge, rest + t * (t - 1) // 2 * penalty)
+        bump += charge
+        if bump > gap:
+            break
+    return bump
+
+
 @dataclass
 class SearchStats:
     """Counters that :func:`find_local_translation` adds to when given one:
     calls, nodes expanded (every leaf is a node), searches that returned
     ``None`` because no map fit the budget, and nodes that returned early,
-    by the test that cut them (bound, matching bump, pair bump). A tie with
-    the incumbent cuts options in the parent, which no counter sees."""
+    by the test that cut them (bound, matching bump, clique bump; the last
+    keeps the name ``pair_prunes``, which ``--stats-out`` writes). A tie
+    with the incumbent cuts options in the parent, which no counter sees."""
 
     searches: int = 0
     nodes: int = 0
@@ -246,7 +291,7 @@ def find_local_translation(
     ``cost*W*W + non_shift*W + losses`` with ``W`` one more than the number
     of slots; both counts stay below ``W``, so the key orders exactly as the
     first three rules above. A node is pruned when its bound on that key,
-    raised by the larger of a matching bump and a pair bump over the slots
+    raised by the larger of a matching bump and a clique bump over the slots
     that compete for images, exceeds the incumbent's key; an option whose
     estimate equals that key is cut when its image prefix already loses the
     image tie-break.
@@ -354,11 +399,13 @@ def find_local_translation(
             if branch is None or sel < branch:
                 branch = sel
         tied = bound == best[0]
-        steps = sorted(c[2] for c in contested)
+        contested.sort(key=_STEP, reverse=True)
+        steps = list(map(_STEP, contested))  # descending
+        q = len(steps)
         gap = best[0] - bound  # a bump above this prunes
         # at least one contested slot keeps a min-level image, so neither
         # bump exceeds the sum of all steps but the largest
-        if sum(steps[:-1]) > gap:
+        if sum(steps[1:]) > gap:
             # matching: at most a max matching of contested slots take
             # min-level images; every other one pays its step. A greedy
             # matching is no larger, so Kuhn's runs only when its count prunes.
@@ -369,39 +416,35 @@ def find_local_translation(
                     held |= imgs & -imgs
                 else:
                     unmatched += 1
-            if sum(steps[:unmatched]) > gap:
-                unmatched = len(contested) - _max_bit_matching([c[1] for c in contested])
-                if sum(steps[:unmatched]) > gap:
+            if sum(steps[q - unmatched:]) > gap:
+                unmatched = q - _max_bit_matching([c[1] for c in contested])
+                if sum(steps[q - unmatched:]) > gap:
                     counts.matching_prunes += 1
                     return
-            # pairs: slots a, b pay min(step_a, step_b) unless min-level
-            # images u != w agree on adjacency with verts[a] ~ verts[b]
-            # (capped at one broken pair when distinct ones exist). Disjoint
-            # pairs add up, to at most steps[-2] + steps[-4] + ...; both
-            # bumps draw on the same steps, so only the larger one counts.
-            spans = []  # (slot, images, step, its nbr mask, OR nbr[w], AND nbr[w] | 1 << w)
-            if sum(steps[-2::-2]) > gap:
-                for j, imgs, step in contested:
-                    ors, ands = 0, -1
-                    for w, bit, nw, _ in cands[j]:
-                        if imgs & bit:
-                            ors, ands = ors | nw, ands & (nw | bit)
-                    spans.append((j, imgs, step, nbr[verts[j]], ors, ands))
-            pairs = []
-            for x, (a, ia, sa, na, ors, ands) in enumerate(spans):
-                for b, ib, sb, _, _, _ in spans[x + 1:]:
-                    agree = ib & ors if na >> verts[b] & 1 else ib & ~ands
+            # cliques: contested slots x, y clash unless two distinct
+            # min-level images u, w have u ~ w exactly when their vertices
+            # are adjacent; two that clash and both keep their level break
+            # the pair between them. Both bumps draw on the same steps, so
+            # only the larger one counts.
+            spans = []  # (images, its vertex, its nbr mask, OR nbr[w], AND nbr[w] | 1 << w)
+            for j, imgs, _ in contested:
+                ors, ands = 0, -1
+                for w, bit, nw, _ in cands[j]:
+                    if imgs & bit:
+                        ors, ands = ors | nw, ands & (nw | bit)
+                spans.append((imgs, verts[j], nbr[verts[j]], ors, ands))
+            bad = []  # bit y > x of bad[x]: slots x and y clash
+            for x, (_, _, na, ors, ands) in enumerate(spans):
+                clash, bit = 0, 1 << x
+                for ib, vb, _, _, _ in spans[x + 1:]:
+                    bit <<= 1
+                    agree = ib & ors if na >> vb & 1 else ib & ~ands
                     if not agree:
-                        d = min(sa, sb)
-                        pairs.append((min(d, BW2) if (ia | ib).bit_count() > 1 else d, a, b))
-            bump, taken = 0, 0
-            for d, a, b in sorted(pairs, reverse=True):
-                if not taken & (1 << a | 1 << b):
-                    taken |= 1 << a | 1 << b
-                    bump += d
-                    if bump > gap:
-                        counts.pair_prunes += 1
-                        return
+                        clash |= bit
+                bad.append(clash)
+            if any(bad) and _clique_bump(steps, bad, BW2, gap) > gap:
+                counts.pair_prunes += 1
+                return
 
         j = unassigned[0] if tied else branch[2]
         em = e_mask[j]

@@ -361,6 +361,22 @@ class TestBuildLayerAndVerify:
             "every vertex carries its self-wire\n"
         )
 
+    def test_scheme_wider_than_its_graph_exits_2(self, tmp_path, capsys):
+        # no line bounds K, so only the rule K <= n keeps the n x K table small
+        bad = tmp_path / "wide.scheme"
+        bad.write_text("2 1000000000000\n0 0 0\n1 1 0\n", encoding="utf-8")
+        code = run_cli("verify-grid", "--scheme", str(bad), "--rows", "1", "--cols", "2")
+        assert code == 2
+        assert capsys.readouterr().err == "error: line 1: header K=1000000000000 exceeds n=2\n"
+
+    def test_placements_wider_than_their_graph_exit_2(self, tmp_path, capsys):
+        bad = tmp_path / "wide.placements"
+        bad.write_text("1 2 0 1.0 1.0\n0; 1.0; slot0=0, slot1=⊥\n", encoding="utf-8")
+        code = run_cli("build-layer", "--placements", str(bad), "--out", str(tmp_path / "s"))
+        assert code == 2
+        assert capsys.readouterr().err == "error: line 1: header K=2 exceeds n=1\n"
+        assert not (tmp_path / "s").exists()
+
 
 class TestTrainCommand:
     def _make_data(self, workdir, g_path, p_path):

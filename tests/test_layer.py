@@ -13,7 +13,8 @@ from gcforge.layer import (
     import_scheme,
     verify_grid_equivalence,
 )
-from gcforge.propagation import init_kernel, most_central_vertex, propagate
+from gcforge.propagation import PlacementMap, init_kernel, most_central_vertex, propagate
+from gcforge.translations import DeformationScore, KernelPlacement
 
 from conftest import path_graph
 
@@ -74,6 +75,13 @@ class TestBuildScheme:
         )
         with pytest.raises(IncompletePlacementError, match="missing vertex: 0"):
             build_scheme(broken)
+
+    def test_kernel_wider_than_the_graph_rejected(self):
+        # the scheme format bounds K by n, so a map that breaks it builds none
+        lone = KernelPlacement(0, (0, None), DeformationScore.of(1, 0, 1.0, 1.0))
+        pm = PlacementMap(n=1, k=2, seed=0, alpha=1.0, beta=1.0, placements={0: lone})
+        with pytest.raises(SchemeError, match="^kernel size K=2 exceeds n=1$"):
+            build_scheme(pm)
 
     def test_invariants_enforced(self):
         with pytest.raises(SchemeError, match="center triple"):
@@ -179,7 +187,7 @@ class TestSchemeFiles:
 
     @pytest.mark.parametrize("text, line", [
         ("2 2\n0 0 0\n0 1 1\n1 1 0\n0 1 1\n", 5),  # the same line twice
-        ("# c\n2 3\n0 0 0\n0 1 1\n1 1 0\n0 1 2\n", 6),  # (out, in) twice
+        ("# c\n3 3\n0 0 0\n0 1 1\n1 1 0\n0 1 2\n", 6),  # (out, in) twice
         ("2 2\n0 0 0\n0 1 1\n1 1 0\n1 0 0\n", 5),  # (out, idx) twice
     ], ids=["same-line", "out-in", "out-idx"])
     def test_duplicate_names_line_of_second_occurrence(self, text, line):

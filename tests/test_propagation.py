@@ -361,9 +361,9 @@ class TestBudgetedSearch:
             counts.append((stats.searches, stats.nodes, stats.bound_prunes,
                            stats.matching_prunes, stats.pair_prunes))
         assert counts == [  # (searches, nodes, bound, matching, pair prunes)
-            (343, 18_821, 4_687, 3_537, 2_269),
-            (451, 14_429, 3_115, 2_136, 989),
-            (366, 44_386, 13_774, 9_588, 9_616),
+            (343, 13_658, 2_634, 2_251, 1_519),
+            (451, 13_381, 2_882, 1_736, 762),
+            (366, 26_261, 8_045, 3_910, 5_622),
         ]
 
     def test_search_counters_repeat_on_cold_runs(self):
@@ -390,8 +390,8 @@ class TestBudgetedSearch:
             )
             runs.append(SearchStats(*ast.literal_eval(run.stdout)))
         assert runs[0] == runs[1]
-        assert (runs[0].searches, runs[0].nodes) == (366, 44_386)
-        assert runs[0].pair_prunes > 0, "the pair bump never pruned"
+        assert (runs[0].searches, runs[0].nodes) == (366, 26_261)
+        assert runs[0].pair_prunes > 0, "the clique bump never pruned"
 
 
 def _next_cost_brute(A, B, m, cost):

@@ -18,7 +18,7 @@ def placement_maps(draw) -> PlacementMap:
     """A complete map: every vertex holds a kernel centered on itself, with
     distinct surviving slots and a score the parser can decompose."""
     n = draw(st.integers(1, 8))
-    k = draw(st.integers(1, 5))
+    k = draw(st.integers(1, min(n, 5)))  # both formats bound K by n
     alpha = draw(st.floats(0.0, 10.0))
     beta = draw(st.one_of(st.just(0.0), st.floats(0.01, 10.0)))
     placements = {}

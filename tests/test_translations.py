@@ -17,6 +17,7 @@ from gcforge.translations import (
     Translation,
     TranslationError,
     ZERO_SCORE,
+    _clique_bump,
     deformation_score,
     enumerate_translations_bruteforce,
     exact_weights,
@@ -434,3 +435,59 @@ class TestSearchAgainstOracleProperty:
         oracle = enumerate_translations_bruteforce(g, [0, 1, 2, 3, 6], 0, 6, 1.79, 0.8)
         winner = min(oracle, key=_documented_order(p, 6, 1.79, 0.8))
         assert find_local_translation(g, p, 6, 1.79, 0.8) == winner
+
+
+@st.composite
+def clash_graphs(draw):
+    """Up to 7 contested slots with their steps sorted descending, a random
+    clash graph as symmetric bitmasks, and the penalty of a broken pair."""
+    q = draw(st.integers(0, 7))
+    steps = sorted(draw(st.lists(st.integers(1, 20), min_size=q, max_size=q)), reverse=True)
+    bad = [0] * q
+    for x in range(q):
+        for y in range(x + 1, q):
+            if draw(st.booleans()):
+                bad[x] |= 1 << y
+                bad[y] |= 1 << x
+    return steps, bad, draw(st.integers(0, 30))
+
+
+def _least_keep_charge(steps, bad, penalty):
+    """Brute force over every set of slots that keep their cheapest level:
+    each other slot pays its step, each clashing pair inside the set pays
+    the penalty."""
+    q = len(steps)
+    return min(
+        sum(s for x, s in enumerate(steps) if not keep >> x & 1)
+        + penalty * sum(1 for x in range(q) for y in range(x + 1, q)
+                        if keep >> x & keep >> y & bad[x] >> y & 1)
+        for keep in range(1 << q)
+    )
+
+
+class TestCliqueBump:
+    @PROFILE
+    @given(clash_graphs())
+    def test_never_exceeds_the_least_keep_charge(self, case):
+        steps, bad, penalty = case
+        bump = _clique_bump(steps, bad, penalty, math.inf)
+        assert bump <= _least_keep_charge(steps, bad, penalty)
+        # the early stop prunes exactly when the full sum does
+        for gap in (bump - 1, bump):
+            assert (_clique_bump(steps, bad, penalty, gap) > gap) == (bump > gap)
+
+    @PROFILE
+    @given(clash_graphs())
+    def test_one_clique_charges_the_least_keep_charge(self, case):
+        steps, _, penalty = case
+        every = (1 << len(steps)) - 1
+        bad = [every ^ 1 << x for x in range(len(steps))]
+        least = _least_keep_charge(steps, bad, penalty)
+        assert _clique_bump(steps, bad, penalty, math.inf) == least
+
+    @PROFILE
+    @given(st.integers(1, 50), st.integers(1, 50), st.integers(0, 50))
+    def test_two_clashing_slots_pay_the_capped_pair_charge(self, a, b, penalty):
+        # the smaller step, capped at one broken pair
+        assert _clique_bump(sorted([a, b], reverse=True), [2, 1], penalty, math.inf) == min(
+            a, b, penalty)

@@ -53,26 +53,31 @@ class Mutant:
 
 
 MUTANTS = (
-    # one integer search key and the pair bump
-    Mutant("pair-mismatch-without-cap", TRANSLATIONS,
-           "min(d, BW2) if (ia | ib).bit_count() > 1 else d", "d"),
-    Mutant("pairs-share-slots", TRANSLATIONS,
-           "if not taken & (1 << a | 1 << b):", "if True:"),
-    Mutant("pair-bump-prunes-ties", TRANSLATIONS,
-           "if bump > gap:", "if bump >= gap:"),
+    # one integer search key and the clique bump
+    Mutant("clique-bump-prunes-ties", TRANSLATIONS,
+           "if any(bad) and _clique_bump(steps, bad, BW2, gap) > gap:",
+           "if any(bad) and _clique_bump(steps, bad, BW2, gap) >= gap:"),
     Mutant("matching-bump-prunes-ties", TRANSLATIONS,
-           "contested])\n                if sum(steps[:unmatched]) > gap:",
-           "contested])\n                if sum(steps[:unmatched]) >= gap:"),
+           "contested])\n                if sum(steps[q - unmatched:]) > gap:",
+           "contested])\n                if sum(steps[q - unmatched:]) >= gap:"),
     Mutant("bumps-summed", TRANSLATIONS,
-           "if bump > gap:", "if bump + sum(steps[:unmatched]) > gap:"),
+           "if any(bad) and _clique_bump(steps, bad, BW2, gap) > gap:",
+           "if any(bad) and _clique_bump(steps, bad, BW2, gap)"
+           " + sum(steps[q - unmatched:]) > gap:"),
     Mutant("bump-gate-drops-a-step", TRANSLATIONS,
-           "if sum(steps[:-1]) > gap:", "if sum(steps[:-2]) > gap:"),
-    Mutant("pair-gate-drops-a-step", TRANSLATIONS,
-           "if sum(steps[-2::-2]) > gap:", "if sum(steps[-3::-2]) > gap:"),
+           "if sum(steps[1:]) > gap:", "if sum(steps[2:]) > gap:"),
     Mutant("key-base-below-slot-count", TRANSLATIONS,
            "W = m + 1", "W = m - 1"),
     Mutant("pair-agreement-ignores-adjacency", TRANSLATIONS,
-           "agree = ib & ors if na >> verts[b] & 1 else ib & ~ands", "agree = ib & ors"),
+           "agree = ib & ors if na >> vb & 1 else ib & ~ands", "agree = ib & ors"),
+    Mutant("clique-member-checked-against-seed-only", TRANSLATIONS,
+           "cand &= bad[y]", "cand &= cand - 1"),
+    Mutant("clique-keeps-from-zero", TRANSLATIONS,
+           "enumerate(clique, 1)", "enumerate(clique)"),
+    Mutant("clique-pairs-free", TRANSLATIONS,
+           "rest + t * (t - 1) // 2 * penalty", "rest"),
+    Mutant("cliques-share-slots", TRANSLATIONS,
+           "free &= ~members", "pass"),
     # tie cuts at bound equality and the strict settle budget
     Mutant("images-reset-after-options-dropped", TRANSLATIONS,
            "                e_mask[i] ^= bit\n        images[j] = -1\n",
@@ -149,6 +154,12 @@ MUTANTS = (
     # size fields checked against the rows before anything is allocated
     Mutant("scheme-count-unchecked", "src/gcforge/layer.py",
            "if n > len(rows):", "if False:", ("tests/test_cli.py",)),
+    Mutant("scheme-width-unchecked", "src/gcforge/layer.py",
+           "if k > n:  # checked before", "if False:  # checked before", ("tests/test_cli.py",)),
+    Mutant("placement-width-unchecked", PROPAGATION,
+           "if k > n:", "if False:", ("tests/test_cli.py",)),
+    Mutant("scheme-build-width-unchecked", "src/gcforge/layer.py",
+           "if pm.k > pm.n:", "if False:", ("tests/test_layer.py",)),
     Mutant("placement-count-unchecked", "src/gcforge/layer.py",
            "if missing < pm.n:", "if False:", ("tests/test_cli.py",)),
     Mutant("class-count-unchecked", "src/gcforge/cli.py",
@@ -161,10 +172,10 @@ MUTANTS = (
     Mutant("failed-stage-keeps-outputs", "src/gcforge/cli.py",
            "Path(done).unlink(missing_ok=True)", "pass", ("tests/test_cli.py",)),
     # cheaper search nodes: each shortcut skips work and changes no decision.
-    # The scan and the pair sum now stop at their first loss, so
-    # bound-prunes-ties and pair-bump-prunes-ties above mutate those exits.
+    # The scan and the clique sum stop at their first loss, so
+    # bound-prunes-ties and clique-bump-prunes-ties mutate those exits.
     Mutant("greedy-count-is-final", TRANSLATIONS,
-           "unmatched = len(contested) - _max_bit_matching([c[1] for c in contested])",
+           "unmatched = q - _max_bit_matching([c[1] for c in contested])",
            "pass"),
     Mutant("budget-limit-ceil", TRANSLATIONS,
            "limit = p * scale // q", "limit = -(-p * scale // q)"),
@@ -189,14 +200,23 @@ def _first_failure(output: str) -> str | None:
     return None
 
 
+def stale(mutants: list[Mutant]) -> list[str]:
+    """One line for each mutant whose text to mutate does not occur exactly
+    once in its file, so that a stale text stops the run before it starts."""
+    out = []
+    for mutant in mutants:
+        found = (ROOT / mutant.path).read_text(encoding="utf-8").count(mutant.old)
+        if found != 1:
+            out.append(f"{mutant.name}: the text to mutate occurs {found} times "
+                       f"in {mutant.path}, not once")
+    return out
+
+
 def run(mutant: Mutant, work: Path) -> str:
     """Apply ``mutant`` inside ``work``, run its tests, restore the file and
     return the first failure line, or ``SURVIVED``."""
     target = work / mutant.path
     original = target.read_text(encoding="utf-8")
-    if original.count(mutant.old) != 1:
-        raise SystemExit(f"{mutant.name}: the text to mutate occurs "
-                         f"{original.count(mutant.old)} times in {mutant.path}, not once")
     target.write_text(original.replace(mutant.old, mutant.new), encoding="utf-8")
     env = {**os.environ, "PYTHONPATH": str(work / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
     try:
@@ -221,6 +241,9 @@ def main(names: list[str]) -> int:
     if unknown:
         raise SystemExit(f"unknown mutants: {', '.join(unknown)}")
     chosen = [by_name[n] for n in names] if names else list(MUTANTS)
+    problems = stale(chosen)
+    if problems:
+        raise SystemExit("\n".join(problems))
     survivors = []
     with tempfile.TemporaryDirectory(prefix="gcforge-mutants-") as tmp:
         work = Path(tmp)
