@@ -34,6 +34,7 @@ from .translations import (
 from .propagation import (
     PlacementMap,
     PlacementReport,
+    SettleStats,
     closeness_centrality,
     init_kernel,
     most_central_vertex,

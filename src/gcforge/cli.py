@@ -35,6 +35,7 @@ from .layer import (
 from .propagation import (
     PlacementFormatError,
     PlacementMap,
+    SettleStats,
     init_kernel,
     most_central_vertex,
     parse_placements,
@@ -106,12 +107,12 @@ def cmd_translate(args) -> int:
     if not (0 <= seed < g.n):
         raise UsageError(f"--seed-vertex {seed} out of range 0..{g.n - 1}")
     kernel = init_kernel(g, seed, radius=args.radius)
-    stats = SearchStats()
-    pm = propagate(g, kernel, alpha=args.alpha, beta=args.beta, stats=stats)
+    stats, settle = SearchStats(), SettleStats()
+    pm = propagate(g, kernel, alpha=args.alpha, beta=args.beta, stats=stats, settle_stats=settle)
     outputs = [(args.out, serialize_placements(pm))]
     if args.stats_out is not None:
         run = {"stage": "translate", "wall_s": time.perf_counter() - start,
-               "search": dataclasses.asdict(stats)}
+               "search": dataclasses.asdict(stats), "settle": dataclasses.asdict(settle)}
         outputs.append((args.stats_out, json.dumps(run, indent=2) + "\n"))
     _write(*outputs)
     report = placement_report(pm)
@@ -229,7 +230,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="override the centrality-chosen seed vertex")
     p.add_argument("--out", required=True, help="placement-map output path")
     p.add_argument("--stats-out", default=None,
-                   help="optional JSON output: search counters and the stage's wall time")
+                   help="optional JSON output: search and settle-loop counters and the"
+                        " stage's wall time")
     p.set_defaults(func=cmd_translate)
 
     p = sub.add_parser("build-layer", help="weight-sharing scheme from placements")

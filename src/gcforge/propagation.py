@@ -121,12 +121,14 @@ class PlacementMap:
 
 
 def _step(
-    g: Graph, source: KernelPlacement, target: int, alpha: float, beta: float, budget: float,
+    g: Graph, source: KernelPlacement, target: int, alpha: float, beta: float, level: float,
     stats: SearchStats | None,
 ) -> KernelPlacement | None:
-    """Apply the best local translation of ``source`` onto ``target``, or
-    return ``None`` if every translation scores above ``budget``."""
-    found = find_local_translation(g, source, target, alpha, beta, budget, stats=stats)
+    """Apply the best local translation of ``source`` onto ``target`` when it
+    scores exactly ``level``, or return ``None`` if every translation scores
+    above ``level``. The caller knows that none scores below it."""
+    found = find_local_translation(g, source, target, alpha, beta, level, floor=level,
+                                   stats=stats)
     if found is None:
         return None
     t, step = found
@@ -142,35 +144,57 @@ def _step(
     )
 
 
+@dataclass
+class SettleStats:
+    """Counters that the settle loop of :func:`propagate` and :func:`refine`
+    adds to when given one: heap pops, pops of a placement that a better one
+    has since replaced, steps deferred to their next cost level, placements
+    that replace one whose vertex was already expanded, and steps skipped
+    without a search because the target's placement leaves no room."""
+
+    pops: int = 0
+    stale_pops: int = 0
+    deferred: int = 0
+    reopenings: int = 0
+    skipped: int = 0
+
+
 def propagate(
     g: Graph,
     seed_kernel: KernelPlacement,
     alpha: float = 1.0,
     beta: float = 1.0,
     stats: SearchStats | None = None,
+    *,
+    settle_stats: SettleStats | None = None,
 ) -> PlacementMap:
     """Best-first propagation of the seed kernel to every vertex; ``stats``,
-    when given, gains the counters of every search."""
+    when given, gains the counters of every search, and ``settle_stats``
+    those of the settle loop."""
     if not is_connected(g):
         raise ConnectivityError("graph is not connected, so propagation cannot reach every vertex")
     pm = PlacementMap(
         n=g.n, k=seed_kernel.k, seed=seed_kernel.center, alpha=alpha, beta=beta,
         placements={seed_kernel.center: seed_kernel},
     )
-    _settle(g, pm, stats)
+    _settle(g, pm, stats, settle_stats)
     return pm
 
 
-def refine(g: Graph, pm: PlacementMap, stats: SearchStats | None = None) -> PlacementMap:
+def refine(
+    g: Graph, pm: PlacementMap, stats: SearchStats | None = None, *,
+    settle_stats: SettleStats | None = None,
+) -> PlacementMap:
     """Re-run the relaxation from an existing map; a settled map is a fixed
-    point, so refining it returns an equal map."""
+    point, so refining it returns an equal map. The counters are those of
+    :func:`propagate`."""
     if pm.n != g.n:
         raise ParameterError(f"placement map has {pm.n} vertices but the graph has {g.n}")
     out = PlacementMap(
         n=pm.n, k=pm.k, seed=pm.seed, alpha=pm.alpha, beta=pm.beta,
         placements=dict(pm.placements),
     )
-    _settle(g, out, stats)
+    _settle(g, out, stats, settle_stats)
     return out
 
 
@@ -182,8 +206,11 @@ def _next_cost(A: int, B: int, m: int, cost: int) -> int | float:
     return min(above, default=math.inf)
 
 
-def _settle(g: Graph, pm: PlacementMap, stats: SearchStats | None) -> None:
+def _settle(
+    g: Graph, pm: PlacementMap, stats: SearchStats | None, settle_stats: SettleStats | None,
+) -> None:
     A, B, scale = exact_weights(pm.alpha, pm.beta)
+    counts = settle_stats if settle_stats is not None else SettleStats()
 
     def key(p: KernelPlacement) -> tuple:
         acc = p.accumulated
@@ -206,13 +233,17 @@ def _settle(g: Graph, pm: PlacementMap, stats: SearchStats | None) -> None:
     for v in sorted(best):
         push(v)
 
+    expanded = set()
     while heap:
         entry = heapq.heappop(heap)
+        counts.pops += 1
         if entry[2]:
             cost, losses, _, slots, u = entry
             source = best[u]
             if (cost, losses, slots) != key(source):
-                continue  # stale entry
+                counts.stale_pops += 1
+                continue
+            expanded.add(u)
             steps = [(0, t) for t in g.neighbors(u)]
         else:
             level, losses, _, _, cost, source, t = entry
@@ -225,12 +256,23 @@ def _settle(g: Graph, pm: PlacementMap, stats: SearchStats | None) -> None:
                 # step above the cost difference cannot win; nor can one at
                 # exactly the difference when the incumbent has fewer losses
                 if bar[0] - cost - (bar[1] < losses) < floor:
+                    counts.skipped += 1
                     continue
+            # a deferred step found no map at the level before, so none
+            # costs less than this floor
             candidate = _step(g, source, t, pm.alpha, pm.beta, Fraction(floor, scale), stats)
             if candidate is None:  # every map costs more: retry at the next level
-                level = cost + _next_cost(A, B, source.k - source.loss_count, floor)
+                live = source.k - source.loss_count
+                # losing every slot but the center costs A*(live - 1), so a
+                # search at or above that level always finds a map; without
+                # this check a search wrong about it would defer the step forever
+                if floor >= A * (live - 1):
+                    raise RuntimeError(f"no map of {live} live slots at cost {floor}/{scale}")
+                level = cost + _next_cost(A, B, live, floor)
                 heapq.heappush(heap, (level, losses, 0, next(seq), cost, source, t))
+                counts.deferred += 1
             elif incumbent is None or key(candidate) < bar:
+                counts.reopenings += t in expanded
                 best[t] = candidate
                 push(t)
 

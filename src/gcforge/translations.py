@@ -243,10 +243,12 @@ def _clique_bump(steps: list[int], bad: list[int], penalty: int, gap: float) -> 
 class SearchStats:
     """Counters that :func:`find_local_translation` adds to when given one:
     calls, nodes expanded (every leaf is a node), searches that returned
-    ``None`` because no map fit the budget, and nodes that returned early,
-    by the test that cut them (bound, matching bump, clique bump; the last
-    keeps the name ``pair_prunes``, which ``--stats-out`` writes). A tie
-    with the incumbent cuts options in the parent, which no counter sees."""
+    ``None`` because no map fit the budget, nodes that returned early, by
+    the test that cut them (bound, matching bump, clique bump, cost floor,
+    tied-node image bound; the clique bump keeps the name ``pair_prunes``,
+    which ``--stats-out`` writes), and image options never tried because
+    losing the slot is cheaper. A tie with the incumbent also cuts options
+    in the parent, which no counter sees."""
 
     searches: int = 0
     nodes: int = 0
@@ -254,6 +256,9 @@ class SearchStats:
     bound_prunes: int = 0
     matching_prunes: int = 0
     pair_prunes: int = 0
+    floor_prunes: int = 0
+    tie_prunes: int = 0
+    dominated_options: int = 0
 
 
 def find_local_translation(
@@ -264,6 +269,7 @@ def find_local_translation(
     beta: float = 1.0,
     budget: float = math.inf,
     *,
+    floor: float = 0,
     stats: SearchStats | None = None,
 ) -> tuple[Translation, DeformationScore] | None:
     """Cheapest translation of a kernel placement onto a neighboring center.
@@ -292,9 +298,12 @@ def find_local_translation(
     of slots; both counts stay below ``W``, so the key orders exactly as the
     first three rules above. A node is pruned when its bound on that key,
     raised by the larger of a matching bump and a clique bump over the slots
-    that compete for images, exceeds the incumbent's key; an option whose
-    estimate equals that key is cut when its image prefix already loses the
-    image tie-break.
+    that compete for images, exceeds the incumbent's key, or when it equals
+    that key and the least images its leaves could take already lose the
+    image tie-break; an option whose estimate equals that key is cut when
+    its image prefix already loses the image tie-break. An image option
+    that breaks more than ``A // B`` pairs with the slots assigned so far is
+    never tried: losing the slot instead costs less.
 
     ``budget`` (a float or a :class:`~fractions.Fraction`) caps the exact
     score ``alpha*losses + beta*snp``, with no rounding slack: the search
@@ -302,6 +311,12 @@ def find_local_translation(
     the same one an unbounded search returns, ties included. The default
     (infinity) always finds a map, because losing every slot but the
     center is always feasible.
+
+    ``floor`` is the caller's promise that no map scores below it (the
+    default, 0, always holds). The search then prunes a node when every
+    leaf below it, at cost ``floor`` or more, must lose to the incumbent.
+    The result is the same as without ``floor`` whenever the promise holds;
+    if it does not, a cheaper map may be missed.
 
     ``stats``, when given, gains this call's counters (:class:`SearchStats`).
     """
@@ -313,6 +328,10 @@ def find_local_translation(
     else:  # floor(budget * scale), exact for a float, an int or a Fraction
         p, q = budget.as_integer_ratio()
         limit = p * scale // q
+    if not math.isfinite(floor):
+        raise TranslationError("floor must be finite")
+    p, q = floor.as_integer_ratio()
+    floor_cost = -(-p * scale // q)  # every map costs at least ceil(floor * scale)
     center = placement.center
     if not g.has_edge(center, target):
         raise AdjacencyError(f"target {target} is not adjacent to center {center}")
@@ -327,6 +346,7 @@ def find_local_translation(
     W = m + 1
     W2, BW2 = W * W, B * W * W
     loss_key = A * W2 + W + 1
+    floor_key = floor_cost * W2
 
     best = ((limit + 1) * W2 - 1, (), 0)  # (key, images, violations)
     counts = stats if stats is not None else SearchStats()
@@ -347,6 +367,19 @@ def find_local_translation(
     # per slot, every candidate (w, 1 << w, nbr[w], shift key), fixed for the call
     cands = [[(w, 1 << w, nbr[w], 0 if w - v == delta else W) for w in g.neighbors(v)]
              for v in verts]
+    # per slot, the bit of its shift image if that is a neighbor, else 0;
+    # read only below a positive floor, so only built for one
+    shift_bit = [nbr[v] & 1 << v + delta if v + delta >= 0 else 0
+                 for v in verts] if floor_key > 0 else []
+
+    def least_images(unassigned: list[int], least_of) -> tuple[int, ...]:
+        """The image sequence of the assigned slots with each open slot at
+        the least image in its mask ``least_of(j)``, or lost if it is empty."""
+        least = images[:]
+        for j in unassigned:
+            mask = least_of(j)
+            least[j] = (mask & -mask).bit_length() - 1 if mask else lost
+        return tuple(least)
 
     def search(unassigned: list[int], used_mask: int, key: int, violations: int) -> None:
         nonlocal best
@@ -365,8 +398,9 @@ def find_local_translation(
         # running sum loses. The option cutoff below relies on this, and so
         # does the tie cut: a child whose estimate equals the incumbent's key
         # is cut when its image prefix already loses the image tie-break. A
-        # node whose bound equals that key branches on its lowest open slot,
-        # so that the prefix grows and the cut fires sooner.
+        # node whose bound (or, below the floor, whose floor bound) equals
+        # that key branches on its lowest open slot, so that the prefix grows
+        # and the cut fires sooner.
         bound = key
         branch = None  # (-its minimum, its free candidates, slot), least first
         # a slot whose cheapest option is an image competes for the images
@@ -399,6 +433,25 @@ def find_local_translation(
             if branch is None or sel < branch:
                 branch = sel
         tied = bound == best[0]
+        if tied:
+            # a leaf that ties keeps every open slot at its cheapest level:
+            # one of its min-level images, or the loss if it has none
+            mins = {j: imgs for j, imgs, _ in contested}
+            if least_images(unassigned, lambda j: mins.get(j, 0)) > best[1]:
+                counts.tie_prunes += 1
+                return
+        elif bound < floor_key:
+            # every leaf costs at least the floor, and an open slot with no
+            # free shift image adds at least W to the tie part of its key
+            free = ~used_mask
+            pinned = floor_key + key % W2 + W * sum(
+                1 for j in unassigned if not shift_bit[j] & free)
+            # a leaf that ties it takes each free shift image, else an image
+            if pinned > best[0] or pinned == best[0] and least_images(
+                    unassigned, lambda j: shift_bit[j] & free or nbr[verts[j]] & free) > best[1]:
+                counts.floor_prunes += 1
+                return
+            tied = pinned == best[0]
         contested.sort(key=_STEP, reverse=True)
         steps = list(map(_STEP, contested))  # descending
         q = len(steps)
@@ -426,33 +479,40 @@ def find_local_translation(
             # are adjacent; two that clash and both keep their level break
             # the pair between them. Both bumps draw on the same steps, so
             # only the larger one counts.
-            spans = []  # (images, its vertex, its nbr mask, OR nbr[w], AND nbr[w] | 1 << w)
-            for j, imgs, _ in contested:
-                ors, ands = 0, -1
+            later = [(imgs, verts[j]) for j, imgs, _ in contested]
+            bad = []  # bit y > x of bad[x]: slots x and y clash
+            for x, (j, imgs, _) in enumerate(contested[:-1]):
+                ors, ands = 0, -1  # OR nbr[w], AND nbr[w] | 1 << w over its images
                 for w, bit, nw, _ in cands[j]:
                     if imgs & bit:
                         ors, ands = ors | nw, ands & (nw | bit)
-                spans.append((imgs, verts[j], nbr[verts[j]], ors, ands))
-            bad = []  # bit y > x of bad[x]: slots x and y clash
-            for x, (_, _, na, ors, ands) in enumerate(spans):
+                na = nbr[verts[j]]
                 clash, bit = 0, 1 << x
-                for ib, vb, _, _, _ in spans[x + 1:]:
+                for ib, vb in later[x + 1:]:
                     bit <<= 1
                     agree = ib & ors if na >> vb & 1 else ib & ~ands
                     if not agree:
                         clash |= bit
                 bad.append(clash)
+            bad.append(0)  # the last slot has no later one to clash with
             if any(bad) and _clique_bump(steps, bad, BW2, gap) > gap:
                 counts.pair_prunes += 1
                 return
 
         j = unassigned[0] if tied else branch[2]
         em = e_mask[j]
-        options = [(loss_key, lost, 0)]  # (key, image, pairs)
+        # (key, image, pairs); an image whose key exceeds the loss's breaks
+        # more than A // B pairs already, so the same map with the slot lost
+        # costs less and the image never wins
+        options = [(loss_key, lost, 0)]
         for w, bit, nw, s in cands[j]:
             if not used_mask & bit:
                 inc = ((em ^ nw) & used_mask).bit_count()
-                options.append((BW2 * inc + s, w, inc))
+                c = BW2 * inc + s
+                if c < loss_key:
+                    options.append((c, w, inc))
+                else:
+                    counts.dominated_options += 1
         options.sort()
         rest = [i for i in unassigned if i != j]
         mask_j = nbr[verts[j]]

@@ -21,6 +21,7 @@ from gcforge.graph import (
     load_edge_list,
 )
 from gcforge.propagation import (
+    SettleStats,
     init_kernel,
     most_central_vertex,
     propagate,
@@ -157,9 +158,9 @@ class TestTranslate:
         # they are
         g = connected_er_graphs(1, 20, 0.2, 3000)[0]
         (tmp_path / "g.edges").write_text(dump_edge_list(g), encoding="utf-8")
-        stats = SearchStats()
-        expected = serialize_placements(
-            propagate(g, init_kernel(g, most_central_vertex(g)), stats=stats))
+        stats, settle = SearchStats(), SettleStats()
+        expected = serialize_placements(propagate(
+            g, init_kernel(g, most_central_vertex(g)), stats=stats, settle_stats=settle))
         paths = [str(Path(__file__).parent), str(Path(gcforge.__file__).parents[1])]
         runs = []
         for hash_seed in ("1", "2"):
@@ -173,6 +174,7 @@ class TestTranslate:
             runs.append(json.loads(stats_out.read_text(encoding="utf-8")))
             assert out.read_text(encoding="utf-8") == expected
         assert runs[0]["search"] == runs[1]["search"] == dataclasses.asdict(stats)
+        assert runs[0]["settle"] == runs[1]["settle"] == dataclasses.asdict(settle)
         assert runs[0]["stage"] == "translate" and runs[0]["wall_s"] > 0
         assert runs[0]["search"]["searches"] > 0 and runs[0]["search"]["nodes"] > 0
 

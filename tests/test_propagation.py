@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +14,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import gcforge
+import gcforge.propagation
 from gcforge.graph import (
     ConnectivityError,
     CoordinateSet,
@@ -24,6 +26,7 @@ from gcforge.graph import (
 )
 from gcforge.propagation import (
     PlacementFormatError,
+    SettleStats,
     _distance_sums,
     _next_cost,
     closeness_centrality,
@@ -41,6 +44,7 @@ from gcforge.translations import (
     TranslationError,
     ZERO_SCORE,
     exact_weights,
+    find_local_translation,
 )
 
 from conftest import PROFILE, ER50_SHA256, connected_er_graphs, path_graph, star_graph
@@ -359,25 +363,30 @@ class TestBudgetedSearch:
             stats = SearchStats()
             propagate(g, init_kernel(g, most_central_vertex(g)), stats=stats)
             counts.append((stats.searches, stats.nodes, stats.bound_prunes,
-                           stats.matching_prunes, stats.pair_prunes))
-        assert counts == [  # (searches, nodes, bound, matching, pair prunes)
-            (343, 13_658, 2_634, 2_251, 1_519),
-            (451, 13_381, 2_882, 1_736, 762),
-            (366, 26_261, 8_045, 3_910, 5_622),
+                           stats.matching_prunes, stats.pair_prunes, stats.floor_prunes,
+                           stats.tie_prunes, stats.dominated_options))
+        assert counts == [  # (searches, nodes, bound, matching, pair, floor, tie prunes,
+            #                  dominated options)
+            (343, 8_682, 1_926, 809, 951, 722, 854, 3_983),
+            (451, 8_431, 2_161, 769, 422, 462, 1_115, 2_689),
+            (366, 17_413, 5_080, 1_505, 2_672, 1_232, 1_525, 9_434),
         ]
 
-    def test_search_counters_repeat_on_cold_runs(self):
+    @staticmethod
+    def _cold_counters() -> list[tuple[SearchStats, SettleStats]]:
         # every counter of er9003's propagate, from two new interpreters with
-        # different string-hash seeds: the counts are a property of the input
+        # different string-hash seeds
         program = (
             "import dataclasses, sys\n"
             "from conftest import connected_er_graphs\n"
-            "from gcforge.propagation import init_kernel, most_central_vertex, propagate\n"
+            "from gcforge.propagation import SettleStats, init_kernel, most_central_vertex,"
+            " propagate\n"
             "from gcforge.translations import SearchStats\n"
             "g = connected_er_graphs(3, 50, 0.1, base_seed=9000)[2]\n"
-            "stats = SearchStats()\n"
-            "propagate(g, init_kernel(g, most_central_vertex(g)), stats=stats)\n"
-            "sys.stdout.write(repr(dataclasses.astuple(stats)))\n"
+            "stats, settle = SearchStats(), SettleStats()\n"
+            "propagate(g, init_kernel(g, most_central_vertex(g)), stats=stats,"
+            " settle_stats=settle)\n"
+            "sys.stdout.write(repr((dataclasses.astuple(stats), dataclasses.astuple(settle))))\n"
         )
         paths = [str(Path(__file__).parent), str(Path(gcforge.__file__).parents[1])]
         runs = []
@@ -388,10 +397,53 @@ class TestBudgetedSearch:
                 [sys.executable, "-c", program],
                 capture_output=True, text=True, encoding="utf-8", env=env, check=True,
             )
-            runs.append(SearchStats(*ast.literal_eval(run.stdout)))
-        assert runs[0] == runs[1]
-        assert (runs[0].searches, runs[0].nodes) == (366, 26_261)
-        assert runs[0].pair_prunes > 0, "the clique bump never pruned"
+            search, settle = ast.literal_eval(run.stdout)
+            runs.append((SearchStats(*search), SettleStats(*settle)))
+        return runs
+
+    def test_search_counters_repeat_on_cold_runs(self):
+        # the counts are a property of the input
+        (first, _), (second, _) = self._cold_counters()
+        assert first == second
+        assert (first.searches, first.nodes) == (366, 17_413)
+        assert first.pair_prunes > 0, "the clique bump never pruned"
+        assert first.floor_prunes > 0, "the cost floor never pruned"
+        assert first.tie_prunes > 0, "the tied-node image bound never pruned"
+        assert first.dominated_options > 0, "no image option was dominated by its loss"
+
+    def test_settle_counters_repeat_on_cold_runs(self):
+        (search, first), (_, second) = self._cold_counters()
+        assert first == second
+        assert first == SettleStats(pops=344, stale_pops=4, deferred=281, reopenings=9,
+                                    skipped=214)
+        # a search that finds no map is deferred to its next level, once
+        assert first.deferred == search.none_results
+
+    @pytest.mark.parametrize("alpha, beta, sha", [
+        (1.0, 1.0, ER50_SHA256[0]), (2.5, 0.3, ER_REFERENCE[(2.5, 0.3)][0]),
+    ], ids=["unit", "2.5-0.3"])
+    def test_settle_floors_never_exceed_the_least_cost(self, monkeypatch, alpha, beta, sha):
+        # every floor the settle loop promises a search is at or below the
+        # cost of that step's unbounded optimum, and a map found there costs
+        # exactly the floor
+        g = connected_er_graphs(1, 50, 0.1, base_seed=9000)[0]
+        calls = []
+
+        def recording(g, source, target, alpha, beta, budget, **kwargs):
+            found = find_local_translation(g, source, target, alpha, beta, budget, **kwargs)
+            calls.append((source, target, kwargs["floor"], found))
+            return found
+
+        monkeypatch.setattr(gcforge.propagation, "find_local_translation", recording)
+        assert _placements_sha(g, alpha, beta) == sha
+        A, B, scale = exact_weights(alpha, beta)
+        assert any(floor > 0 for _, _, floor, _ in calls)
+        for source, target, floor, found in calls:
+            score = find_local_translation(g, source, target, alpha, beta)[1]
+            least = Fraction(A * score.losses + B * score.snp_violations, scale)
+            assert floor <= least
+            if found is not None:
+                assert floor == least and found[1] == score
 
 
 def _next_cost_brute(A, B, m, cost):

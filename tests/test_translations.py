@@ -192,6 +192,11 @@ class TestFindLocalTranslation:
         with pytest.raises(TranslationError, match="budget"):
             find_local_translation(path3, placement(1, [1, 0, 2]), 0, budget=math.nan)
 
+    @pytest.mark.parametrize("floor", [math.inf, -math.inf, math.nan])
+    def test_non_finite_floor_rejected(self, path3, floor):
+        with pytest.raises(TranslationError, match="floor"):
+            find_local_translation(path3, placement(1, [1, 0, 2]), 0, floor=floor)
+
     def test_budget_keeps_the_result_or_returns_none(self):
         # on the acceptance-2 oracle family: a budget equal to the best
         # score still finds the same map, and one just below it finds none
@@ -398,6 +403,19 @@ def _check_search_against_oracle(case, alpha, beta, below, oracle=None):
     assert find_local_translation(g, p, target, alpha, beta, budget) == expected
 
 
+def _check_floor(case, alpha, beta, least, data):
+    """A floor at or below the least cost ``least`` returns what the search
+    without one returns, under a budget at that cost (as the settle loop
+    searches), above it, or half a cost unit below it."""
+    g, p, target = case
+    unit = Fraction(1, exact_weights(alpha, beta)[2])
+    floor = data.draw(st.sampled_from(
+        [least, least - unit / 2, least - unit, least / 2, Fraction(0), -unit]))
+    budget = data.draw(st.sampled_from([least, math.inf, least - unit / 2]))
+    assert (find_local_translation(g, p, target, alpha, beta, budget, floor=floor)
+            == find_local_translation(g, p, target, alpha, beta, budget))
+
+
 class TestSearchAgainstOracleProperty:
     @PROFILE
     @given(search_cases(), WEIGHTS, WEIGHTS, st.booleans())
@@ -408,6 +426,26 @@ class TestSearchAgainstOracleProperty:
     @given(deep_search_cases(), WEIGHTS, WEIGHTS, st.booleans())
     def test_deep_search_returns_the_oracle_winner(self, case, alpha, beta, below):
         _check_search_against_oracle(case, alpha, beta, below)
+
+    @PROFILE
+    @given(search_cases(), WEIGHTS, WEIGHTS, st.data())
+    def test_floor_at_or_below_the_least_cost_changes_nothing(self, case, alpha, beta, data):
+        g, p, target = case
+        domain = [v for v in p.slots if v is not None]
+        oracle = enumerate_translations_bruteforce(g, domain, p.center, target, alpha, beta)
+        least = min(Fraction(alpha) * s.losses + Fraction(beta) * s.snp_violations
+                    for _, s in oracle)
+        _check_floor(case, alpha, beta, least, data)
+
+    @settings(PROFILE, max_examples=300)
+    @given(deep_search_cases(), WEIGHTS, WEIGHTS, st.data())
+    def test_deep_floor_at_or_below_the_least_cost_changes_nothing(self, case, alpha, beta, data):
+        # the least cost is the unbounded search's, which the properties
+        # above check against the oracle on the same family of cases
+        g, p, target = case
+        score = find_local_translation(g, p, target, alpha, beta)[1]
+        least = Fraction(alpha) * score.losses + Fraction(beta) * score.snp_violations
+        _check_floor(case, alpha, beta, least, data)
 
     @pytest.mark.parametrize("g, radius", [
         (cycle_graph(8), 1), (cycle_graph(8), 2), (torus_graph(4, 4), 1),

@@ -190,6 +190,27 @@ MUTANTS = (
            "steps = [(level - cost, t)] if best[source.center] is source else []"),
     Mutant("next-cost-skips-a-level", PROPAGATION,
            "A * x + B * ((cost - A * x) // B + 1)", "A * x + B * ((cost - A * x) // B + 2)"),
+    # the cost floor, the tied-node image bound and loss dominance. A prune
+    # of a node whose least images equal the incumbent's is exact (such a
+    # leaf is the incumbent), so the image tests are mutated by their images.
+    Mutant("floor-one-unit-too-high", TRANSLATIONS,
+           "floor_cost = -(-p * scale // q)", "floor_cost = -(-p * scale // q) + 1"),
+    Mutant("floor-charges-open-slots-as-lost", TRANSLATIONS,
+           "pinned = floor_key + key % W2 + W * sum(",
+           "pinned = floor_key + key % W2 + (W + 1) * sum("),
+    Mutant("floor-charges-shift-slots", TRANSLATIONS,
+           "1 for j in unassigned if not shift_bit[j] & free)",
+           "1 for j in unassigned)"),
+    Mutant("floor-tie-greatest-image", TRANSLATIONS,
+           "lambda j: shift_bit[j] & free or nbr[verts[j]] & free",
+           "lambda j: 1 << (shift_bit[j] & free or nbr[verts[j]] & free).bit_length() >> 1"),
+    Mutant("tie-bound-greatest-image", TRANSLATIONS,
+           "lambda j: mins.get(j, 0)", "lambda j: 1 << mins.get(j, 0).bit_length() >> 1"),
+    Mutant("least-images-take-the-greatest", TRANSLATIONS,
+           "least[j] = (mask & -mask).bit_length() - 1 if mask else lost",
+           "least[j] = mask.bit_length() - 1 if mask else lost"),
+    Mutant("dominance-one-pair-early", TRANSLATIONS,
+           "if c < loss_key:", "if c < loss_key - BW2:"),
 )
 
 
