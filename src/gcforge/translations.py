@@ -246,8 +246,9 @@ class SearchStats:
     ``None`` because no map fit the budget, nodes that returned early, by
     the test that cut them (bound, matching bump, clique bump, cost floor,
     tied-node image bound; the clique bump keeps the name ``pair_prunes``,
-    which ``--stats-out`` writes), and image options never tried because
-    losing the slot is cheaper. A tie with the incumbent also cuts options
+    which ``--stats-out`` writes), image options never tried because
+    losing the slot is cheaper, and searches that returned the rigid shift
+    without expanding a node. A tie with the incumbent also cuts options
     in the parent, which no counter sees."""
 
     searches: int = 0
@@ -259,6 +260,7 @@ class SearchStats:
     floor_prunes: int = 0
     tie_prunes: int = 0
     dominated_options: int = 0
+    shift_answers: int = 0
 
 
 def find_local_translation(
@@ -296,14 +298,18 @@ def find_local_translation(
     the ratio ``alpha:beta`` matters. The search ranks a map by one integer,
     ``cost*W*W + non_shift*W + losses`` with ``W`` one more than the number
     of slots; both counts stay below ``W``, so the key orders exactly as the
-    first three rules above. A node is pruned when its bound on that key,
-    raised by the larger of a matching bump and a clique bump over the slots
-    that compete for images, exceeds the incumbent's key, or when it equals
-    that key and the least images its leaves could take already lose the
-    image tie-break; an option whose estimate equals that key is cut when
-    its image prefix already loses the image tie-break. An image option
-    that breaks more than ``A // B`` pairs with the slots assigned so far is
-    never tried: losing the slot instead costs less.
+    first three rules above. The rigid shift (each slot moved by the
+    center's displacement when that lands on a neighbor, lost otherwise)
+    is the first incumbent whenever it fits the budget; when it costs
+    ``floor`` with no loss, no other map can tie it and it is returned
+    without expanding a single search node. A node is pruned when its bound on that
+    key, raised by the larger of a matching bump and a clique bump over the
+    slots that compete for images, exceeds the incumbent's key, or when it
+    equals that key and the least images its leaves could take do not beat
+    the incumbent's images; an option whose estimate equals that key is cut
+    when its image prefix already loses the image tie-break. An image
+    option that breaks more than ``A // B`` pairs with the slots assigned so
+    far is never tried: losing the slot instead costs less.
 
     ``budget`` (a float or a :class:`~fractions.Fraction`) caps the exact
     score ``alpha*losses + beta*snp``, with no rounding slack: the search
@@ -351,6 +357,25 @@ def find_local_translation(
     best = ((limit + 1) * W2 - 1, (), 0)  # (key, images, violations)
     counts = stats if stats is not None else SearchStats()
     counts.searches += 1
+    # the rigid shift: each slot moves by delta when that lands on a neighbor
+    # of its vertex and is lost otherwise. It is injective, so when it fits
+    # the budget it is a feasible incumbent. Every other map leaves some slot
+    # non-shifted, so when the shift's key is the floor's (cost at the floor,
+    # no loss) no map ties or beats it, and no node is searched. Its pairs
+    # are counted only when its losses fit the budget
+    shift = [v + delta if v + delta >= 0 and nbr[v] >> v + delta & 1 else lost
+             for v in verts]
+    n_lost = shift.count(lost)
+    if A * n_lost <= limit:
+        kept = [(v, s) for v, s in zip(verts, shift) if s != lost]
+        pairs = sum(nbr[v] >> u & 1 != nbr[s] >> t & 1
+                    for a, (v, s) in enumerate(kept) for u, t in kept[a + 1:])
+        shift_key = (A * n_lost + B * pairs) * W2 + n_lost * W + n_lost
+        if shift_key <= best[0]:
+            best = (shift_key, tuple(shift), pairs)
+    if best[0] == floor_key:
+        counts.shift_answers += 1
+        return _result(verts, best, lost, W, alpha, beta)
     # an open slot reads -1, before every vertex id and the lost sentinel, so
     # tuple(images) > best[1] holds exactly when the first slot that differs
     # from the incumbent is assigned and carries a greater image
@@ -369,8 +394,7 @@ def find_local_translation(
              for v in verts]
     # per slot, the bit of its shift image if that is a neighbor, else 0;
     # read only below a positive floor, so only built for one
-    shift_bit = [nbr[v] & 1 << v + delta if v + delta >= 0 else 0
-                 for v in verts] if floor_key > 0 else []
+    shift_bit = [0 if s == lost else 1 << s for s in shift] if floor_key > 0 else []
 
     def least_images(unassigned: list[int], least_of) -> tuple[int, ...]:
         """The image sequence of the assigned slots with each open slot at
@@ -435,9 +459,11 @@ def find_local_translation(
         tied = bound == best[0]
         if tied:
             # a leaf that ties keeps every open slot at its cheapest level:
-            # one of its min-level images, or the loss if it has none
+            # one of its min-level images, or the loss if it has none; if
+            # those least images equal the incumbent's, a tying leaf is at
+            # best the incumbent itself
             mins = {j: imgs for j, imgs, _ in contested}
-            if least_images(unassigned, lambda j: mins.get(j, 0)) > best[1]:
+            if least_images(unassigned, lambda j: mins.get(j, 0)) >= best[1]:
                 counts.tie_prunes += 1
                 return
         elif bound < floor_key:
@@ -539,15 +565,22 @@ def find_local_translation(
         images[j] = -1
 
     search(list(range(1, m)), 1 << target, 0, 0)
-    best_key, best_images, violations = best
-    if not best_images:
+    if not best[1]:
         counts.none_results += 1
         return None
+    return _result(verts, best, lost, W, alpha, beta)
 
-    order = sorted(range(m), key=lambda i: verts[i])
+
+def _result(
+    verts: list[int], best: tuple, lost: int, W: int, alpha: float, beta: float,
+) -> tuple[Translation, DeformationScore]:
+    """The translation and score of a search's ``(key, images,
+    violations)``, its images in slot order with ``lost`` for a loss."""
+    key, images, violations = best
+    order = sorted(range(len(verts)), key=lambda i: verts[i])
     domain = tuple(verts[i] for i in order)
-    imgs = tuple(None if best_images[i] == lost else best_images[i] for i in order)
-    return Translation(domain, imgs), DeformationScore.of(best_key % W, violations, alpha, beta)
+    imgs = tuple(None if images[i] == lost else images[i] for i in order)
+    return Translation(domain, imgs), DeformationScore.of(key % W, violations, alpha, beta)
 
 
 def enumerate_translations_bruteforce(

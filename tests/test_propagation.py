@@ -357,20 +357,33 @@ class TestBudgetedSearch:
         # three er-tail graphs: a weaker prune raises them, a wrong one
         # usually moves them. The prunes of each kind are pinned too, so a
         # shortcut that skips work is seen to change no decision. A deferred
-        # step retried at a higher floor counts as one more search.
+        # step retried at a higher floor counts as one more search. No step
+        # here is a rigid shift at its floor, so none is answered by one.
         counts = []
         for g in connected_er_graphs(3, 50, 0.1, base_seed=9000):
             stats = SearchStats()
             propagate(g, init_kernel(g, most_central_vertex(g)), stats=stats)
             counts.append((stats.searches, stats.nodes, stats.bound_prunes,
                            stats.matching_prunes, stats.pair_prunes, stats.floor_prunes,
-                           stats.tie_prunes, stats.dominated_options))
+                           stats.tie_prunes, stats.dominated_options, stats.shift_answers))
         assert counts == [  # (searches, nodes, bound, matching, pair, floor, tie prunes,
-            #                  dominated options)
-            (343, 8_682, 1_926, 809, 951, 722, 854, 3_983),
-            (451, 8_431, 2_161, 769, 422, 462, 1_115, 2_689),
-            (366, 17_413, 5_080, 1_505, 2_672, 1_232, 1_525, 9_434),
+            #                  dominated options, shift answers)
+            (343, 8_682, 1_926, 809, 951, 722, 854, 3_983, 0),
+            (451, 8_431, 2_161, 769, 422, 462, 1_115, 2_689, 0),
+            (366, 17_413, 5_080, 1_505, 2_672, 1_232, 1_525, 9_434, 0),
         ]
+
+    def test_grid_search_totals(self):
+        # on the 32x32 grid every interior step is the rigid shift at cost 0,
+        # answered without a node. Each of the 128 border steps finds no map
+        # at floor 0 and is searched again at one loss, where the seeded
+        # shift ends the search at the first node whose bound and least
+        # images it meets (a tie prune).
+        g = grid_graph(32, 32)
+        stats = SearchStats()
+        propagate(g, init_kernel(g, most_central_vertex(g)), stats=stats)
+        assert (stats.searches, stats.nodes, stats.shift_answers, stats.none_results,
+                stats.tie_prunes) == (3_968, 1_136, 3_712, 128, 128)
 
     @staticmethod
     def _cold_counters() -> list[tuple[SearchStats, SettleStats]]:

@@ -447,6 +447,18 @@ class TestSearchAgainstOracleProperty:
         least = Fraction(alpha) * score.losses + Fraction(beta) * score.snp_violations
         _check_floor(case, alpha, beta, least, data)
 
+    def test_floor_tie_takes_the_least_images(self):
+        # searched at its least cost, this step reaches nodes whose floor
+        # bound ties the incumbent, and there the open slots at their least
+        # free images decide the prune; bounding them by greater images
+        # prunes the winner
+        g = Graph(6, [(0, 1), (0, 2), (0, 4), (0, 5), (1, 2), (1, 4), (2, 3), (3, 4), (3, 5)])
+        p = KernelPlacement(2, (2, 3, 1, 0, 4), ZERO_SCORE)
+        oracle = enumerate_translations_bruteforce(g, p.slots, 2, 0)
+        winner = min(oracle, key=_documented_order(p, 0, 1.0, 1.0))
+        assert winner[1].total == 1.0
+        assert find_local_translation(g, p, 0, budget=1, floor=1) == winner
+
     @pytest.mark.parametrize("g, radius", [
         (cycle_graph(8), 1), (cycle_graph(8), 2), (torus_graph(4, 4), 1),
     ], ids=["cycle8-r1", "cycle8-r2", "torus4x4-r1"])

@@ -211,6 +211,20 @@ MUTANTS = (
            "least[j] = mask.bit_length() - 1 if mask else lost"),
     Mutant("dominance-one-pair-early", TRANSLATIONS,
            "if c < loss_key:", "if c < loss_key - BW2:"),
+    # the rigid shift as the first incumbent, and its answer without a node.
+    # The tied-node image test at > instead of >= is exact too; only the
+    # node totals it adds show it.
+    Mutant("shift-pairs-counted-as-zero", TRANSLATIONS,
+           "pairs = sum(nbr[v] >> u & 1 != nbr[s] >> t & 1",
+           "pairs = 0 * sum(nbr[v] >> u & 1 != nbr[s] >> t & 1"),
+    Mutant("shift-answered-whenever-seeded", TRANSLATIONS,
+           "if best[0] == floor_key:", "if best[1]:"),
+    Mutant("shift-seeded-over-budget", TRANSLATIONS,
+           "if shift_key <= best[0]:", "if True:"),
+    Mutant("shift-image-not-a-neighbor", TRANSLATIONS,
+           "v + delta >= 0 and nbr[v] >> v + delta & 1", "0 <= v + delta < lost"),
+    Mutant("tie-bound-keeps-equal-images", TRANSLATIONS,
+           "mins.get(j, 0)) >= best[1]:", "mins.get(j, 0)) > best[1]:"),
 )
 
 
