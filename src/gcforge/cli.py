@@ -80,7 +80,14 @@ def _read(path: str) -> str:
 
 def _write(*outputs: tuple[str, str]) -> None:
     """Write each (path, text); when one fails, remove those already
-    written, so that a stage which exits 2 leaves no output behind."""
+    written, so that a stage which exits 2 leaves no output behind. Two
+    outputs that name the same file are refused before anything is written."""
+    seen = set()
+    for path, _ in outputs:
+        real = Path(path).resolve()
+        if real in seen:
+            raise UsageError(f"{path}: names the same file as another output")
+        seen.add(real)
     written = []
     for path, text in outputs:
         try:

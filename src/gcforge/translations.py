@@ -175,27 +175,6 @@ def deformation_score(
     return DeformationScore.of(losses, snp_violations(g, t), alpha, beta)
 
 
-def _max_bit_matching(masks: list[int]) -> int:
-    """Maximum bipartite matching of rows onto set bits (Kuhn's algorithm)."""
-    owner: dict[int, int] = {}  # bit position -> row
-
-    def try_row(i: int, banned: set[int]) -> bool:
-        free = masks[i]
-        while free:
-            low = free & -free
-            w = low.bit_length() - 1
-            free ^= low
-            if w in banned:
-                continue
-            banned.add(w)
-            if w not in owner or try_row(owner[w], banned):
-                owner[w] = i
-                return True
-        return False
-
-    return sum(1 for i in range(len(masks)) if try_row(i, set()))
-
-
 _STEP = itemgetter(2)  # the step of a contested slot's (slot, min-level images, step)
 
 
@@ -244,19 +223,17 @@ class SearchStats:
     """Counters that :func:`find_local_translation` adds to when given one:
     calls, nodes expanded (every leaf is a node), searches that returned
     ``None`` because no map fit the budget, nodes that returned early, by
-    the test that cut them (bound, matching bump, clique bump, cost floor,
-    tied-node image bound; the clique bump keeps the name ``pair_prunes``,
-    which ``--stats-out`` writes), image options never tried because
-    losing the slot is cheaper, and searches that returned the rigid shift
-    without expanding a node. A tie with the incumbent also cuts options
-    in the parent, which no counter sees."""
+    the test that cut them (bound, clique bump, cost floor, tied-node image
+    bound), image options never tried because losing the slot is cheaper,
+    and searches that returned the rigid shift without expanding a node. A
+    tie with the incumbent also cuts options in the parent, which no
+    counter sees."""
 
     searches: int = 0
     nodes: int = 0
     none_results: int = 0
     bound_prunes: int = 0
-    matching_prunes: int = 0
-    pair_prunes: int = 0
+    clique_prunes: int = 0
     floor_prunes: int = 0
     tie_prunes: int = 0
     dominated_options: int = 0
@@ -302,14 +279,14 @@ def find_local_translation(
     center's displacement when that lands on a neighbor, lost otherwise)
     is the first incumbent whenever it fits the budget; when it costs
     ``floor`` with no loss, no other map can tie it and it is returned
-    without expanding a single search node. A node is pruned when its bound on that
-    key, raised by the larger of a matching bump and a clique bump over the
-    slots that compete for images, exceeds the incumbent's key, or when it
-    equals that key and the least images its leaves could take do not beat
-    the incumbent's images; an option whose estimate equals that key is cut
-    when its image prefix already loses the image tie-break. An image
-    option that breaks more than ``A // B`` pairs with the slots assigned so
-    far is never tried: losing the slot instead costs less.
+    without expanding a single search node. A node is pruned when its bound
+    on that key, raised by a clique bump over the slots that compete for
+    images, exceeds the incumbent's key, or when it equals that key and the
+    least images its leaves could take do not beat the incumbent's images;
+    an option whose estimate equals that key is cut when its image prefix
+    already loses the image tie-break. An image option that breaks more
+    than ``A // B`` pairs with the slots assigned so far is never tried:
+    losing the slot instead costs less.
 
     ``budget`` (a float or a :class:`~fractions.Fraction`) caps the exact
     score ``alpha*losses + beta*snp``, with no rounding slack: the search
@@ -480,50 +457,29 @@ def find_local_translation(
             tied = pinned == best[0]
         contested.sort(key=_STEP, reverse=True)
         steps = list(map(_STEP, contested))  # descending
-        q = len(steps)
         gap = best[0] - bound  # a bump above this prunes
-        # at least one contested slot keeps a min-level image, so neither
-        # bump exceeds the sum of all steps but the largest
-        if sum(steps[1:]) > gap:
-            # matching: at most a max matching of contested slots take
-            # min-level images; every other one pays its step. A greedy
-            # matching is no larger, so Kuhn's runs only when its count prunes.
-            unmatched, held = 0, 0
-            for _, imgs, _ in contested:
-                imgs &= ~held
-                if imgs:
-                    held |= imgs & -imgs
-                else:
-                    unmatched += 1
-            if sum(steps[q - unmatched:]) > gap:
-                unmatched = q - _max_bit_matching([c[1] for c in contested])
-                if sum(steps[q - unmatched:]) > gap:
-                    counts.matching_prunes += 1
-                    return
-            # cliques: contested slots x, y clash unless two distinct
-            # min-level images u, w have u ~ w exactly when their vertices
-            # are adjacent; two that clash and both keep their level break
-            # the pair between them. Both bumps draw on the same steps, so
-            # only the larger one counts.
-            later = [(imgs, verts[j]) for j, imgs, _ in contested]
-            bad = []  # bit y > x of bad[x]: slots x and y clash
-            for x, (j, imgs, _) in enumerate(contested[:-1]):
-                ors, ands = 0, -1  # OR nbr[w], AND nbr[w] | 1 << w over its images
-                for w, bit, nw, _ in cands[j]:
-                    if imgs & bit:
-                        ors, ands = ors | nw, ands & (nw | bit)
-                na = nbr[verts[j]]
-                clash, bit = 0, 1 << x
-                for ib, vb in later[x + 1:]:
-                    bit <<= 1
-                    agree = ib & ors if na >> vb & 1 else ib & ~ands
-                    if not agree:
-                        clash |= bit
-                bad.append(clash)
-            bad.append(0)  # the last slot has no later one to clash with
-            if any(bad) and _clique_bump(steps, bad, BW2, gap) > gap:
-                counts.pair_prunes += 1
-                return
+        # cliques: contested slots x, y clash unless two distinct min-level
+        # images u, w have u ~ w exactly when their vertices are adjacent;
+        # two that clash and both keep their level break the pair between them
+        later = [(imgs, verts[j]) for j, imgs, _ in contested]
+        bad = []  # bit y > x of bad[x]: slots x and y clash
+        for x, (j, imgs, _) in enumerate(contested[:-1]):
+            ors, ands = 0, -1  # OR nbr[w], AND nbr[w] | 1 << w over its images
+            for w, bit, nw, _ in cands[j]:
+                if imgs & bit:
+                    ors, ands = ors | nw, ands & (nw | bit)
+            na = nbr[verts[j]]
+            clash, bit = 0, 1 << x
+            for ib, vb in later[x + 1:]:
+                bit <<= 1
+                agree = ib & ors if na >> vb & 1 else ib & ~ands
+                if not agree:
+                    clash |= bit
+            bad.append(clash)
+        bad.append(0)  # the last slot has no later one to clash with
+        if any(bad) and _clique_bump(steps, bad, BW2, gap) > gap:
+            counts.clique_prunes += 1
+            return
 
         j = unassigned[0] if tied else branch[2]
         em = e_mask[j]

@@ -187,6 +187,17 @@ class TestTranslate:
         assert err.startswith("error: ") and "s.json" in err and err.count("\n") == 1
         assert not (workdir / "p.txt").exists()
 
+    def test_stats_out_naming_out_exits_2(self, workdir, capsys):
+        # both outputs would land in one file, which would end up holding
+        # only the stats
+        out = workdir / "x"
+        code = run_cli("translate", "--graph", str(workdir / "path.edges"),
+                       "--out", str(out), "--stats-out", str(out))
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == f"error: {out}: names the same file as another output\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("stage", ["translate", "make-dataset"])
     def test_vertex_count_above_its_edges_exits_2(self, tmp_path, capsys, stage):
         # a connected graph on n vertices has n - 1 edges or more; a graph
@@ -526,6 +537,23 @@ class TestTrainCommand:
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith("error: ") and "model.ckpt" in err and err.count("\n") == 1
+        assert not (tmp_path / "m.csv").exists()
+
+    def test_checkpoint_naming_metrics_exits_2(self, tmp_path, capsys):
+        # another spelling of the same path is the same file
+        (tmp_path / "s.scheme").write_text("2 1\n0 0 0\n1 1 0\n", encoding="utf-8")
+        self._write_separable(tmp_path / "d.csv", 2, 4, seed=0)
+        (tmp_path / "sub").mkdir()
+        code = run_cli(
+            "train", "--scheme", str(tmp_path / "s.scheme"), "--epochs", "1",
+            "--train-data", str(tmp_path / "d.csv"), "--test-data", str(tmp_path / "d.csv"),
+            "--metrics-out", str(tmp_path / "m.csv"),
+            "--checkpoint-out", str(tmp_path / "sub" / ".." / "m.csv"),
+        )
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and "names the same file" in err
+        assert err.count("\n") == 1
         assert not (tmp_path / "m.csv").exists()
 
     def test_negative_label_exits_2(self, workdir, capsys):

@@ -364,13 +364,13 @@ class TestBudgetedSearch:
             stats = SearchStats()
             propagate(g, init_kernel(g, most_central_vertex(g)), stats=stats)
             counts.append((stats.searches, stats.nodes, stats.bound_prunes,
-                           stats.matching_prunes, stats.pair_prunes, stats.floor_prunes,
-                           stats.tie_prunes, stats.dominated_options, stats.shift_answers))
-        assert counts == [  # (searches, nodes, bound, matching, pair, floor, tie prunes,
+                           stats.clique_prunes, stats.floor_prunes, stats.tie_prunes,
+                           stats.dominated_options, stats.shift_answers))
+        assert counts == [  # (searches, nodes, bound, clique, floor, tie prunes,
             #                  dominated options, shift answers)
-            (343, 8_682, 1_926, 809, 951, 722, 854, 3_983, 0),
-            (451, 8_431, 2_161, 769, 422, 462, 1_115, 2_689, 0),
-            (366, 17_413, 5_080, 1_505, 2_672, 1_232, 1_525, 9_434, 0),
+            (343, 9_173, 2_042, 1_997, 726, 859, 4_032, 0),
+            (451, 8_789, 2_291, 1_280, 469, 1_118, 2_768, 0),
+            (366, 18_655, 5_448, 4_671, 1_254, 1_580, 9_759, 0),
         ]
 
     def test_grid_search_totals(self):
@@ -418,8 +418,8 @@ class TestBudgetedSearch:
         # the counts are a property of the input
         (first, _), (second, _) = self._cold_counters()
         assert first == second
-        assert (first.searches, first.nodes) == (366, 17_413)
-        assert first.pair_prunes > 0, "the clique bump never pruned"
+        assert (first.searches, first.nodes) == (366, 18_655)
+        assert first.clique_prunes > 0, "the clique bump never pruned"
         assert first.floor_prunes > 0, "the cost floor never pruned"
         assert first.tie_prunes > 0, "the tied-node image bound never pruned"
         assert first.dominated_options > 0, "no image option was dominated by its loss"

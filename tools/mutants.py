@@ -57,15 +57,6 @@ MUTANTS = (
     Mutant("clique-bump-prunes-ties", TRANSLATIONS,
            "if any(bad) and _clique_bump(steps, bad, BW2, gap) > gap:",
            "if any(bad) and _clique_bump(steps, bad, BW2, gap) >= gap:"),
-    Mutant("matching-bump-prunes-ties", TRANSLATIONS,
-           "contested])\n                if sum(steps[q - unmatched:]) > gap:",
-           "contested])\n                if sum(steps[q - unmatched:]) >= gap:"),
-    Mutant("bumps-summed", TRANSLATIONS,
-           "if any(bad) and _clique_bump(steps, bad, BW2, gap) > gap:",
-           "if any(bad) and _clique_bump(steps, bad, BW2, gap)"
-           " + sum(steps[q - unmatched:]) > gap:"),
-    Mutant("bump-gate-drops-a-step", TRANSLATIONS,
-           "if sum(steps[1:]) > gap:", "if sum(steps[2:]) > gap:"),
     Mutant("key-base-below-slot-count", TRANSLATIONS,
            "W = m + 1", "W = m - 1"),
     Mutant("pair-agreement-ignores-adjacency", TRANSLATIONS,
@@ -168,15 +159,15 @@ MUTANTS = (
            "if connected and n > len(edges) + 1:", "if False:", ("tests/test_cli.py",)),
     Mutant("label-width-unchecked", "src/gcforge/net.py",
            "if labels[-1] > _LABEL_MAX:", "if False:", ("tests/test_net.py", "tests/test_cli.py")),
-    # a stage that exits 2 removes the outputs it wrote before the failure
+    # a stage that exits 2 removes the outputs it wrote before the failure,
+    # and one whose outputs name the same file writes none
     Mutant("failed-stage-keeps-outputs", "src/gcforge/cli.py",
            "Path(done).unlink(missing_ok=True)", "pass", ("tests/test_cli.py",)),
+    Mutant("two-outputs-one-file", "src/gcforge/cli.py",
+           "if real in seen:", "if False:", ("tests/test_cli.py",)),
     # cheaper search nodes: each shortcut skips work and changes no decision.
     # The scan and the clique sum stop at their first loss, so
     # bound-prunes-ties and clique-bump-prunes-ties mutate those exits.
-    Mutant("greedy-count-is-final", TRANSLATIONS,
-           "unmatched = q - _max_bit_matching([c[1] for c in contested])",
-           "pass"),
     Mutant("budget-limit-ceil", TRANSLATIONS,
            "limit = p * scale // q", "limit = -(-p * scale // q)"),
     Mutant("branch-counts-used-candidates", TRANSLATIONS,
