@@ -207,10 +207,17 @@ def _is_number(field: str) -> bool:
     return True
 
 
+def _is_header(fields: list[str]) -> bool:
+    """A row of column names: no field is a number and each has a letter."""
+    return not any(map(_is_number, fields)) and all(
+        any(map(str.isalpha, f)) for f in fields)
+
+
 def load_coordinates(text: str) -> CoordinateSet:
     """Parse coordinate CSV text: one row per vertex, d numeric columns.
 
-    The first row is a header when none of its fields parses as a number.
+    The first row is a header when none of its fields parses as a number
+    and every field contains a letter; any other first row is data.
     """
     rows: list[list[float]] = []
     width: int | None = None
@@ -219,8 +226,8 @@ def load_coordinates(text: str) -> CoordinateSet:
         fields = [f.strip() for f in line.split(",")]
         if not first_seen:
             first_seen = True
-            if not any(map(_is_number, fields)):
-                continue  # header row
+            if _is_header(fields):
+                continue
         try:
             row = [_float(f) for f in fields]
         except ValueError:

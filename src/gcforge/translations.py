@@ -221,16 +221,17 @@ def _clique_bump(steps: list[int], bad: list[int], penalty: int, gap: float) -> 
 @dataclass
 class SearchStats:
     """Counters that :func:`find_local_translation` adds to when given one:
-    calls, nodes expanded (every leaf is a node), searches that returned
-    ``None`` because no map fit the budget, nodes that returned early, by
-    the test that cut them (bound, clique bump, cost floor, tied-node image
-    bound), image options never tried because losing the slot is cheaper,
-    and searches that returned the rigid shift without expanding a node. A
-    tie with the incumbent also cuts options in the parent, which no
-    counter sees."""
+    calls, nodes expanded (every leaf is a node), leaves (nodes with no open
+    slot left), searches that returned ``None`` because no map fit the
+    budget, nodes that returned early, by the test that cut them (bound,
+    clique bump, cost floor, tied-node image bound), image options never
+    tried because losing the slot is cheaper, and searches that returned
+    the rigid shift without expanding a node. A tie with the incumbent also
+    cuts options in the parent, which no counter sees."""
 
     searches: int = 0
     nodes: int = 0
+    leaves: int = 0
     none_results: int = 0
     bound_prunes: int = 0
     clique_prunes: int = 0
@@ -238,6 +239,13 @@ class SearchStats:
     tie_prunes: int = 0
     dominated_options: int = 0
     shift_answers: int = 0
+
+
+def _broken_pairs(nbr: list[int], verts: list[int], images, lost: int) -> int:
+    """Pairs of slots with surviving images whose adjacency the map breaks."""
+    kept = [(v, w) for v, w in zip(verts, images) if w != lost]
+    return sum(nbr[v] >> u & 1 != nbr[w] >> x & 1
+               for a, (v, w) in enumerate(kept) for u, x in kept[a + 1:])
 
 
 def find_local_translation(
@@ -284,9 +292,22 @@ def find_local_translation(
     images, exceeds the incumbent's key, or when it equals that key and the
     least images its leaves could take do not beat the incumbent's images;
     an option whose estimate equals that key is cut when its image prefix
-    already loses the image tie-break. An image option that breaks more
-    than ``A // B`` pairs with the slots assigned so far is never tried:
-    losing the slot instead costs less.
+    already loses the image tie-break.
+
+    Each open slot keeps its free images in conflict levels: level ``k``
+    holds the free neighbors that break exactly ``k`` pairs with the
+    assigned slots, for ``k <= A // B``. An image that breaks more is
+    never an option, because losing the slot instead costs less. No image
+    breaks more than ``m - 1`` pairs, so no slot keeps more than ``m``
+    levels, however small ``beta`` is against ``alpha``. When a
+    node takes its parent's assignment (slot ``i`` to image ``u``), every
+    open slot drops ``u`` and moves the images that break the pair with
+    slot ``i`` up one level, out of the top level altogether. A slot's
+    cheapest keys, its images at the cheapest one and its branch options
+    are read off its two lowest non-empty levels and its shift image, with
+    no loop over candidates. At ``beta == 0`` a broken pair costs nothing,
+    so every free image stays at level 0 and the winner's pairs are
+    counted once at the end; otherwise they are read off its key.
 
     ``budget`` (a float or a :class:`~fractions.Fraction`) caps the exact
     score ``alpha*losses + beta*snp``, with no rounding slack: the search
@@ -331,7 +352,7 @@ def find_local_translation(
     loss_key = A * W2 + W + 1
     floor_key = floor_cost * W2
 
-    best = ((limit + 1) * W2 - 1, (), 0)  # (key, images, violations)
+    best = ((limit + 1) * W2 - 1, ())  # (key, images)
     counts = stats if stats is not None else SearchStats()
     counts.searches += 1
     # the rigid shift: each slot moves by delta when that lands on a neighbor
@@ -344,34 +365,25 @@ def find_local_translation(
              for v in verts]
     n_lost = shift.count(lost)
     if A * n_lost <= limit:
-        kept = [(v, s) for v, s in zip(verts, shift) if s != lost]
-        pairs = sum(nbr[v] >> u & 1 != nbr[s] >> t & 1
-                    for a, (v, s) in enumerate(kept) for u, t in kept[a + 1:])
+        pairs = _broken_pairs(nbr, verts, shift, lost)
         shift_key = (A * n_lost + B * pairs) * W2 + n_lost * W + n_lost
         if shift_key <= best[0]:
-            best = (shift_key, tuple(shift), pairs)
+            best = (shift_key, tuple(shift))
     if best[0] == floor_key:
         counts.shift_answers += 1
-        return _result(verts, best, lost, W, alpha, beta)
+        return _result(verts, shift, lost, n_lost, pairs, alpha, beta)
     # an open slot reads -1, before every vertex id and the lost sentinel, so
     # tuple(images) > best[1] holds exactly when the first slot that differs
     # from the incumbent is assigned and carries a greater image
     images = [-1] * m
     images[0] = target
-
-    # e_mask[j] holds the images of the assigned survivors whose preimage is
-    # adjacent to verts[j]; the rest of used_mask belongs to non-adjacent
-    # ones. A candidate w for slot j breaks every pair where that adjacency
-    # disagrees with w's, ((e_mask[j] ^ nbr[w]) & used_mask).bit_count(),
-    # edges lost plus non-edges gained. Assigning slot j flips its image
-    # bit in the masks of the open slots adjacent to verts[j].
-    e_mask = [1 << target if nbr[center] >> v & 1 else 0 for v in verts]
-    # per slot, every candidate (w, 1 << w, nbr[w], shift key), fixed for the call
-    cands = [[(w, 1 << w, nbr[w], 0 if w - v == delta else W) for w in g.neighbors(v)]
-             for v in verts]
-    # per slot, the bit of its shift image if that is a neighbor, else 0;
-    # read only below a positive floor, so only built for one
-    shift_bit = [0 if s == lost else 1 << s for s in shift] if floor_key > 0 else []
+    # per slot, the bit of its shift image if that is a neighbor, else 0
+    shift_bit = [0 if s == lost else 1 << s for s in shift]
+    # an image option at level k keys B*k*W2, plus W unless it is the shift
+    # image; above level A // B it keys more than the loss. An image breaks
+    # pairs with at most the m - 1 other slots, so no level above m - 1 is
+    # ever filled. At beta == 0 nothing moves up, so level 0 is the only one
+    levels_kept = min(A // B, m - 1) + 1 if B else 1
 
     def least_images(unassigned: list[int], least_of) -> tuple[int, ...]:
         """The image sequence of the assigned slots with each open slot at
@@ -382,14 +394,28 @@ def find_local_translation(
             least[j] = (mask & -mask).bit_length() - 1 if mask else lost
         return tuple(least)
 
-    def search(unassigned: list[int], used_mask: int, key: int, violations: int) -> None:
+    def search(unassigned: list[int], used_mask: int, key: int,
+               levels: list[list[int]], i: int, u: int) -> None:
+        """Expand the node reached by giving slot ``i`` image ``u`` (``lost``
+        for a loss); ``levels`` holds the parent's conflict levels."""
         nonlocal best
         counts.nodes += 1
         if not unassigned:  # a leaf, the lone center included
+            counts.leaves += 1
             leaf = (key, tuple(images))
-            if leaf < best[:2]:
-                best = (*leaf, violations)
+            if leaf < best:
+                best = leaf
             return
+        if u != lost:
+            # the pair with slot i breaks for an open slot adjacent to it at
+            # an image not adjacent to u, and for one not adjacent to it at
+            # an image adjacent to u: those images move up a level, u leaves.
+            # At beta == 0 nothing moves up
+            levels = levels[:]
+            nu = nbr[u]
+            others = ~(nu | 1 << u)
+            near, far = ((nu, others), (others, nu)) if B else ((~(1 << u), 0),) * 2
+            row_i = nbr[verts[i]]
 
         # Admissible bound: every open slot pays at least the key of its
         # cheapest option, an option being a free neighbor (B*conflicts,
@@ -403,36 +429,47 @@ def find_local_translation(
         # that key branches on its lowest open slot, so that the prefix grows
         # and the cut fires sooner.
         bound = key
-        branch = None  # (-its minimum, its free candidates, slot), least first
+        top, tops = -1, []  # the greatest minimum and its slots, in slot order
         # a slot whose cheapest option is an image competes for the images
         # at that key; each one that cannot have one pays its step, the
         # distance to its next key level
         contested: list[tuple[int, int, int]] = []  # (slot, min-level images, step)
         for j in unassigned:
-            em = e_mask[j]
-            low, low_imgs, low2 = loss_key, 0, math.inf
-            for w, bit, nw, s in cands[j]:
-                if used_mask & bit:
-                    continue
-                c = BW2 * ((em ^ nw) & used_mask).bit_count() + s
-                if c > low:
-                    if c < low2:
-                        low2 = c
-                elif c < low:
-                    low, low_imgs, low2 = c, bit, low
-                else:
-                    low_imgs |= bit
+            if u != lost:
+                keep, up = near if row_i >> verts[j] & 1 else far
+                moved, lv = 0, []
+                for x in levels[j]:
+                    lv.append(x & keep | moved)
+                    moved = x & up
+                levels[j] = lv
+            # the two lowest keys over the lowest two non-empty levels
+            sb = shift_bit[j]
+            low = low2 = loss_key
+            low_imgs = c = 0
+            for x in levels[j]:
+                if x:
+                    if low_imgs:
+                        low2 = c if x & sb else c + W
+                        break
+                    if x & sb:
+                        low, low_imgs = c, sb
+                        if x != sb:
+                            low2 = c + W
+                            break
+                    else:
+                        low, low_imgs = c + W, x
+                c += BW2
             bound += low
             if bound > best[0]:
                 counts.bound_prunes += 1
                 return
             if low_imgs:
                 contested.append((j, low_imgs, low2 - low))
-            # branch on the most expensive slot, then the one with the fewest
-            # free candidates (its neighbors outside used_mask)
-            sel = (-low, (nbr[verts[j]] & ~used_mask).bit_count(), j)
-            if branch is None or sel < branch:
-                branch = sel
+            if low >= top:
+                if low > top:
+                    top, tops = low, [j]
+                else:
+                    tops.append(j)
         tied = bound == best[0]
         if tied:
             # a leaf that ties keeps every open slot at its cheapest level:
@@ -463,12 +500,14 @@ def find_local_translation(
         # two that clash and both keep their level break the pair between them
         later = [(imgs, verts[j]) for j, imgs, _ in contested]
         bad = []  # bit y > x of bad[x]: slots x and y clash
-        for x, (j, imgs, _) in enumerate(contested[:-1]):
+        for x, (imgs, vx) in enumerate(later[:-1]):
             ors, ands = 0, -1  # OR nbr[w], AND nbr[w] | 1 << w over its images
-            for w, bit, nw, _ in cands[j]:
-                if imgs & bit:
-                    ors, ands = ors | nw, ands & (nw | bit)
-            na = nbr[verts[j]]
+            while imgs:
+                bit = imgs & -imgs
+                imgs ^= bit
+                nw = nbr[bit.bit_length() - 1]
+                ors, ands = ors | nw, ands & (nw | bit)
+            na = nbr[vx]
             clash, bit = 0, 1 << x
             for ib, vb in later[x + 1:]:
                 bit <<= 1
@@ -481,27 +520,31 @@ def find_local_translation(
             counts.clique_prunes += 1
             return
 
-        j = unassigned[0] if tied else branch[2]
-        em = e_mask[j]
-        # (key, image, pairs); an image whose key exceeds the loss's breaks
-        # more than A // B pairs already, so the same map with the slot lost
-        # costs less and the image never wins
-        options = [(loss_key, lost, 0)]
-        for w, bit, nw, s in cands[j]:
-            if not used_mask & bit:
-                inc = ((em ^ nw) & used_mask).bit_count()
-                c = BW2 * inc + s
-                if c < loss_key:
-                    options.append((c, w, inc))
-                else:
-                    counts.dominated_options += 1
-        options.sort()
+        # branch on the most expensive slot, then the one with the fewest free
+        # candidates (its neighbors outside used_mask), then the lowest
+        j = unassigned[0] if tied else min(
+            tops, key=lambda s: (nbr[verts[s]] & ~used_mask).bit_count())
+        # (key, image) in key order, image order within a key: level by
+        # level, the shift image first, then the loss. An image above the
+        # top level breaks more than A // B pairs already, so the same map
+        # with the slot lost costs less and the image never wins
+        sb = shift_bit[j]
+        options, c = [], 0
+        for x in levels[j]:
+            if x & sb:
+                options.append((c, sb.bit_length() - 1))
+                x ^= sb
+            while x:
+                bit = x & -x
+                x ^= bit
+                options.append((c + W, bit.bit_length() - 1))
+            c += BW2
+        counts.dominated_options += (nbr[verts[j]] & ~used_mask).bit_count() - len(options)
+        options.append((loss_key, lost))
         rest = [i for i in unassigned if i != j]
-        mask_j = nbr[verts[j]]
-        adjacent = [i for i in rest if mask_j >> verts[i] & 1]
         base = bound - options[0][0]  # the bound without j's share
 
-        for opt, w, inc in options:
+        for opt, w in options:
             # a child's bound is >= this one, so the first option that
             # loses to the incumbent ends the loop (the rest sort after it,
             # at a greater key or at an equal one with a greater image in
@@ -512,31 +555,33 @@ def find_local_translation(
             images[j] = w
             if child == best[0] and tuple(images) > best[1]:
                 break
-            bit = 0 if w == lost else 1 << w
-            for i in adjacent:
-                e_mask[i] ^= bit
-            search(rest, used_mask | bit, key + opt, violations + inc)
-            for i in adjacent:
-                e_mask[i] ^= bit
+            search(rest, used_mask if w == lost else used_mask | 1 << w, key + opt, levels, j, w)
         images[j] = -1
 
-    search(list(range(1, m)), 1 << target, 0, 0)
+    # every free neighbor starts at level 0; the root node then takes the
+    # center's image like any other assignment
+    root = [[nbr[v]] + [0] * (levels_kept - 1) for v in verts]
+    search(list(range(1, m)), 1 << target, 0, root, 0, target)
     if not best[1]:
         counts.none_results += 1
         return None
-    return _result(verts, best, lost, W, alpha, beta)
+    key, images = best
+    losses = key % W
+    # the key's cost A*losses + B*pairs gives the pairs; at beta == 0 it
+    # holds none, so the winner's are counted
+    pairs = (key // W2 - A * losses) // B if B else _broken_pairs(nbr, verts, images, lost)
+    return _result(verts, images, lost, losses, pairs, alpha, beta)
 
 
 def _result(
-    verts: list[int], best: tuple, lost: int, W: int, alpha: float, beta: float,
+    verts: list[int], images, lost: int, losses: int, pairs: int, alpha: float, beta: float,
 ) -> tuple[Translation, DeformationScore]:
-    """The translation and score of a search's ``(key, images,
-    violations)``, its images in slot order with ``lost`` for a loss."""
-    key, images, violations = best
+    """The translation and score of a map found by the search, its images
+    in slot order with ``lost`` for a loss."""
     order = sorted(range(len(verts)), key=lambda i: verts[i])
     domain = tuple(verts[i] for i in order)
     imgs = tuple(None if images[i] == lost else images[i] for i in order)
-    return Translation(domain, imgs), DeformationScore.of(key % W, violations, alpha, beta)
+    return Translation(domain, imgs), DeformationScore.of(losses, pairs, alpha, beta)
 
 
 def enumerate_translations_bruteforce(

@@ -82,6 +82,14 @@ class TestInferGraph:
         assert capsys.readouterr().err == "error: line 1: non-numeric field in '0.1x,0.2'\n"
         assert not (tmp_path / "g.edges").exists()
 
+    def test_first_row_without_letters_exits_2(self, tmp_path, capsys):
+        (tmp_path / "c.csv").write_text("--5,²\n1.0,2.0\n3.0,4.0\n", encoding="utf-8")
+        code = run_cli("infer-graph", "--coords", str(tmp_path / "c.csv"),
+                       "--k", "1", "--out", str(tmp_path / "g.edges"))
+        assert code == 2
+        assert capsys.readouterr().err == "error: line 1: non-numeric field in '--5,²'\n"
+        assert not (tmp_path / "g.edges").exists()
+
     @pytest.mark.parametrize("row", ["1_0.0,2.0", "1.0,٢.0"], ids=["underscore", "arabic2"])
     def test_unplain_number_exits_2(self, tmp_path, capsys, row):
         # float() takes "1_0.0" and "٢.0" (as 10.0 and 2.0)

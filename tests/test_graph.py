@@ -147,6 +147,12 @@ class TestCoordinates:
         with pytest.raises(GraphError, match="line 1: non-numeric field in '0.1x,0.2'"):
             load_coordinates("0.1x,0.2\n0.3,0.4\n0.5,0.6\n0.7,0.8\n")
 
+    def test_first_row_without_letters_is_data(self):
+        # no field parses as a number, but no field is a name either
+        with pytest.raises(GraphError, match="line 1: non-numeric field in '--5,²'"):
+            load_coordinates("--5,²\n1.0,2.0\n3.0,4.0\n")
+        assert load_coordinates("c0,c1\n1.0,2.0\n3.0,4.0\n").n == 2
+
     def test_no_header(self):
         c = load_coordinates("0.5,1.5\n2.5,3.5\n")
         assert c.points[1, 1] == 3.5

@@ -363,14 +363,14 @@ class TestBudgetedSearch:
         for g in connected_er_graphs(3, 50, 0.1, base_seed=9000):
             stats = SearchStats()
             propagate(g, init_kernel(g, most_central_vertex(g)), stats=stats)
-            counts.append((stats.searches, stats.nodes, stats.bound_prunes,
+            counts.append((stats.searches, stats.nodes, stats.leaves, stats.bound_prunes,
                            stats.clique_prunes, stats.floor_prunes, stats.tie_prunes,
                            stats.dominated_options, stats.shift_answers))
-        assert counts == [  # (searches, nodes, bound, clique, floor, tie prunes,
-            #                  dominated options, shift answers)
-            (343, 9_173, 2_042, 1_997, 726, 859, 4_032, 0),
-            (451, 8_789, 2_291, 1_280, 469, 1_118, 2_768, 0),
-            (366, 18_655, 5_448, 4_671, 1_254, 1_580, 9_759, 0),
+        assert counts == [  # (searches, nodes, leaves, bound, clique, floor, tie
+            #                  prunes, dominated options, shift answers)
+            (343, 9_173, 235, 2_042, 1_997, 726, 859, 4_032, 0),
+            (451, 8_789, 306, 2_291, 1_280, 469, 1_118, 2_768, 0),
+            (366, 18_655, 232, 5_448, 4_671, 1_254, 1_580, 9_759, 0),
         ]
 
     def test_grid_search_totals(self):
@@ -378,12 +378,12 @@ class TestBudgetedSearch:
         # answered without a node. Each of the 128 border steps finds no map
         # at floor 0 and is searched again at one loss, where the seeded
         # shift ends the search at the first node whose bound and least
-        # images it meets (a tie prune).
+        # images it meets (a tie prune), so no search reaches a leaf.
         g = grid_graph(32, 32)
         stats = SearchStats()
         propagate(g, init_kernel(g, most_central_vertex(g)), stats=stats)
-        assert (stats.searches, stats.nodes, stats.shift_answers, stats.none_results,
-                stats.tie_prunes) == (3_968, 1_136, 3_712, 128, 128)
+        assert (stats.searches, stats.nodes, stats.leaves, stats.shift_answers,
+                stats.none_results, stats.tie_prunes) == (3_968, 1_136, 0, 3_712, 128, 128)
 
     @staticmethod
     def _cold_counters() -> list[tuple[SearchStats, SettleStats]]:
@@ -418,7 +418,7 @@ class TestBudgetedSearch:
         # the counts are a property of the input
         (first, _), (second, _) = self._cold_counters()
         assert first == second
-        assert (first.searches, first.nodes) == (366, 18_655)
+        assert (first.searches, first.nodes, first.leaves) == (366, 18_655, 232)
         assert first.clique_prunes > 0, "the clique bump never pruned"
         assert first.floor_prunes > 0, "the cost floor never pruned"
         assert first.tie_prunes > 0, "the tied-node image bound never pruned"

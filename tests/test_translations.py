@@ -475,6 +475,37 @@ class TestSearchAgainstOracleProperty:
                     for below in (False, True):
                         _check_search_against_oracle((g, p, target), alpha, beta, below, oracle)
 
+    def test_pairs_recounted_at_beta_zero(self):
+        # at beta = 0 a broken pair costs nothing, so the key holds no pair
+        # count and the winner's pairs are counted once at the end
+        g = Graph(7, [(0, 3), (0, 4), (0, 6), (1, 3), (1, 4), (2, 4), (3, 4), (5, 6)])
+        p = KernelPlacement(1, (1, 3, 4), ZERO_SCORE)
+        tr, score = find_local_translation(g, p, 3, 1.0, 0.0)
+        assert score.snp_violations == snp_violations(g, tr) > 0
+        _check_search_against_oracle((g, p, 3), 1.0, 0.0, below=False)
+
+    # A // B is 24 at 2.5:0.1, above the 6 pairs one of these 7 slots can
+    # break, so each slot keeps 7 conflict levels and the loss dominates no
+    # image; the winner loses no slot and breaks 14 pairs
+    MANY_LEVELS = (Graph(8, [(0, 1), (0, 3), (0, 4), (0, 5), (0, 6), (0, 7), (1, 3), (1, 5),
+                             (1, 7), (2, 4), (2, 5), (5, 7)]),
+                   KernelPlacement(0, (0, 1, 3, 4, 5, 6, 7), ZERO_SCORE), 6)
+
+    def test_many_conflict_levels(self):
+        g, p, target = self.MANY_LEVELS
+        A, B, _ = exact_weights(2.5, 0.1)
+        assert A // B == 24
+        assert find_local_translation(g, p, target, 2.5, 0.1)[1].snp_violations == 14
+        for below in (False, True):
+            _check_search_against_oracle((g, p, target), 2.5, 0.1, below)
+
+    @pytest.mark.parametrize("beta", [1e-9, 1e-300])
+    def test_tiny_beta_caps_the_levels(self, beta):
+        # A // B is about 1e9 and 1e300 here; a slot breaks at most 6 pairs,
+        # so it keeps 7 levels, not A // B + 1
+        for below in (False, True):
+            _check_search_against_oracle(self.MANY_LEVELS, 1.0, beta, below)
+
     def test_fractional_weight_tie(self):
         # ten maps tie at the minimum, 1 loss and 2 broken pairs; float sums
         # of 1.79 and 0.8 taken slot by slot round differently from

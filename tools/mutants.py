@@ -71,8 +71,7 @@ MUTANTS = (
            "free &= ~members", "pass"),
     # tie cuts at bound equality and the strict settle budget
     Mutant("images-reset-after-options-dropped", TRANSLATIONS,
-           "                e_mask[i] ^= bit\n        images[j] = -1\n",
-           "                e_mask[i] ^= bit\n"),
+           "key + opt, levels, j, w)\n        images[j] = -1\n", "key + opt, levels, j, w)\n"),
     Mutant("node-tie-on-total-only", TRANSLATIONS,
            "tied = bound == best[0]", "tied = bound // W2 == best[0] // W2"),
     Mutant("child-tie-on-total-only", TRANSLATIONS,
@@ -80,23 +79,30 @@ MUTANTS = (
     Mutant("strict-budget-on-equal-losses", PROPAGATION,
            "(bar[1] < losses)", "(bar[1] <= losses)"),
     Mutant("tie-node-branches-on-selected-slot", TRANSLATIONS,
-           "j = unassigned[0] if tied else branch[2]", "j = branch[2]"),
-    # one conflict mask per slot, one incumbent, one lost-slot encoding
-    Mutant("conflicts-without-used-mask", TRANSLATIONS,
-           "inc = ((em ^ nw) & used_mask).bit_count()", "inc = (em ^ nw).bit_count()"),
-    Mutant("bound-conflicts-without-used-mask", TRANSLATIONS,
-           "c = BW2 * ((em ^ nw) & used_mask).bit_count() + s",
-           "c = BW2 * (em ^ nw).bit_count() + s"),
-    Mutant("flip-not-undone", TRANSLATIONS,
-           "violations + inc)\n            for i in adjacent:\n                e_mask[i] ^= bit\n",
-           "violations + inc)\n"),
-    Mutant("flip-in-every-open-slot", TRANSLATIONS,
-           "adjacent = [i for i in rest if mask_j >> verts[i] & 1]", "adjacent = rest"),
-    Mutant("empty-initial-mask", TRANSLATIONS,
-           "e_mask = [1 << target if nbr[center] >> v & 1 else 0 for v in verts]",
-           "e_mask = [0 for v in verts]"),
-    Mutant("loss-sets-a-bit", TRANSLATIONS,
-           "bit = 0 if w == lost else 1 << w", "bit = 1 << w"),
+           "j = unassigned[0] if tied else min(", "j = min("),
+    # conflict levels per open slot, one incumbent, one lost-slot encoding
+    Mutant("used-image-left-in-a-level", TRANSLATIONS,
+           "others = ~(nu | 1 << u)", "others = ~nu"),
+    Mutant("adjacency-inverted-in-conflicts", TRANSLATIONS,
+           "keep, up = near if row_i >> verts[j] & 1 else far",
+           "keep, up = far if row_i >> verts[j] & 1 else near"),
+    Mutant("conflict-not-moved-up", TRANSLATIONS,
+           "lv.append(x & keep | moved)", "lv.append(x & (keep | up))"),
+    Mutant("level-above-loss-kept", TRANSLATIONS,
+           "levels_kept = min(A // B, m - 1) + 1 if B else 1",
+           "levels_kept = min(A // B + 1, m - 1) + 1 if B else 1"),
+    Mutant("levels-beyond-the-slot-count", TRANSLATIONS,
+           "levels_kept = min(A // B, m - 1) + 1 if B else 1",
+           "levels_kept = A // B + 1 if B else 1"),
+    Mutant("root-skips-the-center", TRANSLATIONS,
+           "search(list(range(1, m)), 1 << target, 0, root, 0, target)",
+           "search(list(range(1, m)), 1 << target, 0, root, 0, lost)"),
+    Mutant("child-writes-parent-levels", TRANSLATIONS,
+           "levels = levels[:]", "levels = levels"),
+    Mutant("pairs-without-the-loss-term", TRANSLATIONS,
+           "(key // W2 - A * losses) // B if B", "key // W2 // B if B"),
+    Mutant("beta-zero-pairs-not-recounted", TRANSLATIONS,
+           "else _broken_pairs(nbr, verts, images, lost)", "else 0"),
     Mutant("bound-prunes-ties", TRANSLATIONS,
            "if bound > best[0]:", "if bound >= best[0]:"),
     Mutant("settle-orders-lost-first", PROPAGATION,
@@ -115,6 +121,9 @@ MUTANTS = (
     Mutant("coordinates-accept-non-finite", "src/gcforge/graph.py",
            "if not all(map(math.isfinite, row)):", "if False:",
            ("tests/test_graph.py", "tests/test_cli.py")),
+    Mutant("header-without-a-letter", "src/gcforge/graph.py",
+           "all(\n        any(map(str.isalpha, f)) for f in fields)", "True",
+           ("tests/test_graph.py", "tests/test_cli.py")),
     # option cutoff in the parent
     Mutant("cutoff-prunes-ties", TRANSLATIONS,
            "if child > best[0]:", "if child >= best[0]:"),
@@ -126,12 +135,11 @@ MUTANTS = (
     Mutant("shift-estimate-plus-one", TRANSLATIONS,
            "child = base + opt", "child = base + opt + W"),
     # one scan per open slot
-    Mutant("option-takes-a-used-image", TRANSLATIONS,
-           "if not used_mask & bit:", "if True:"),
     Mutant("shift-flag-from-center", TRANSLATIONS,
-           "0 if w - v == delta else W", "0 if w - center == delta else W"),
-    Mutant("used-image-not-skipped", TRANSLATIONS,
-           "if used_mask & bit:\n", "if False:\n"),
+           "shift_bit = [0 if s == lost else 1 << s for s in shift]",
+           "shift_bit = [1 << target for s in shift]"),
+    Mutant("shift-option-keyed-as-moved", TRANSLATIONS,
+           "options.append((c, sb.bit_length() - 1))", "options.append((c + W, sb.bit_length() - 1))"),
     # ASCII-only numbers in every reader
     Mutant("integers-accept-any-int", "src/gcforge/graph.py",
            "    if not _INTEGER.fullmatch(field):\n", "    if False:\n",
@@ -171,7 +179,8 @@ MUTANTS = (
     Mutant("budget-limit-ceil", TRANSLATIONS,
            "limit = p * scale // q", "limit = -(-p * scale // q)"),
     Mutant("branch-counts-used-candidates", TRANSLATIONS,
-           "(nbr[verts[j]] & ~used_mask).bit_count()", "nbr[verts[j]].bit_count()"),
+           "key=lambda s: (nbr[verts[s]] & ~used_mask).bit_count()",
+           "key=lambda s: nbr[verts[s]].bit_count()"),
     # deferred steps in the settle queue: the same non-stale pops in the same order
     Mutant("placements-before-deferred-steps", PROPAGATION,
            "heapq.heappush(heap, (cost, losses, 1, slots, v))",
@@ -201,13 +210,13 @@ MUTANTS = (
            "least[j] = (mask & -mask).bit_length() - 1 if mask else lost",
            "least[j] = mask.bit_length() - 1 if mask else lost"),
     Mutant("dominance-one-pair-early", TRANSLATIONS,
-           "if c < loss_key:", "if c < loss_key - BW2:"),
+           "levels_kept = min(A // B, m - 1) + 1 if B else 1",
+           "levels_kept = min(A // B - 1, m - 1) + 1 if B else 1"),
     # the rigid shift as the first incumbent, and its answer without a node.
     # The tied-node image test at > instead of >= is exact too; only the
     # node totals it adds show it.
     Mutant("shift-pairs-counted-as-zero", TRANSLATIONS,
-           "pairs = sum(nbr[v] >> u & 1 != nbr[s] >> t & 1",
-           "pairs = 0 * sum(nbr[v] >> u & 1 != nbr[s] >> t & 1"),
+           "pairs = _broken_pairs(nbr, verts, shift, lost)", "pairs = 0"),
     Mutant("shift-answered-whenever-seeded", TRANSLATIONS,
            "if best[0] == floor_key:", "if best[1]:"),
     Mutant("shift-seeded-over-budget", TRANSLATIONS,
