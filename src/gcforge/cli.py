@@ -78,13 +78,17 @@ def _read(path: str) -> str:
         raise UsageError(f"{path}: {exc.strerror or exc}") from None
 
 
-def _write(*outputs: tuple[str, str]) -> None:
+def _write(*outputs: tuple[str, str], inputs: tuple[str, ...]) -> None:
     """Write each (path, text); when one fails, remove those already
     written, so that a stage which exits 2 leaves no output behind. Two
-    outputs that name the same file are refused before anything is written."""
+    outputs that name the same file, or an output that names one of the
+    stage's ``inputs``, are refused before anything is written."""
+    read = {Path(path).resolve() for path in inputs}
     seen = set()
     for path, _ in outputs:
         real = Path(path).resolve()
+        if real in read:
+            raise UsageError(f"{path}: names one of the stage's input files")
         if real in seen:
             raise UsageError(f"{path}: names the same file as another output")
         seen.add(real)
@@ -102,7 +106,7 @@ def _write(*outputs: tuple[str, str]) -> None:
 def cmd_infer_graph(args) -> int:
     coords = load_coordinates(_read(args.coords))
     g = infer_knn_graph(coords, args.k)
-    _write((args.out, dump_edge_list(g)))
+    _write((args.out, dump_edge_list(g)), inputs=(args.coords,))
     print(f"wrote {args.out}: {g.n} vertices, {len(g.edges)} edges")
     return 0
 
@@ -121,7 +125,7 @@ def cmd_translate(args) -> int:
         run = {"stage": "translate", "wall_s": time.perf_counter() - start,
                "search": dataclasses.asdict(stats), "settle": dataclasses.asdict(settle)}
         outputs.append((args.stats_out, json.dumps(run, indent=2) + "\n"))
-    _write(*outputs)
+    _write(*outputs, inputs=(args.graph,))
     report = placement_report(pm)
     print(f"wrote {args.out}: seed vertex {seed}, kernel size {pm.k}")
     print(report.render(), end="")
@@ -131,7 +135,7 @@ def cmd_translate(args) -> int:
 def cmd_build_layer(args) -> int:
     pm = parse_placements(_read(args.placements))
     scheme = build_scheme(pm)
-    _write((args.out, export_scheme(scheme)))
+    _write((args.out, export_scheme(scheme)), inputs=(args.placements,))
     print(f"wrote {args.out}: scheme with {len(scheme.triples)} wires, K={scheme.k}")
     return 0
 
@@ -174,7 +178,7 @@ def cmd_make_dataset(args) -> int:
     ds = net.make_translated_dataset(
         g, pm, templates, args.samples_per_class, sigma=args.sigma, seed=args.seed
     )
-    _write((args.out, net.dataset_to_csv(ds)))
+    _write((args.out, net.dataset_to_csv(ds)), inputs=(args.graph, args.placements))
     print(f"wrote {args.out}: {len(ds)} samples, {args.classes} classes")
     return 0
 
@@ -204,7 +208,7 @@ def cmd_train(args) -> int:
     outputs = [(args.metrics_out, history.to_csv())]
     if args.checkpoint_out is not None:
         outputs.append((args.checkpoint_out, net.save_checkpoint(model)))
-    _write(*outputs)
+    _write(*outputs, inputs=(args.scheme, args.train_data, args.test_data))
     final = history.records[-1] if history.records else None
     if final is not None:
         print(

@@ -122,13 +122,14 @@ class PlacementMap:
 
 def _step(
     g: Graph, source: KernelPlacement, target: int, alpha: float, beta: float, level: float,
-    stats: SearchStats | None,
+    stats: SearchStats | None, beat: KernelPlacement | None,
 ) -> KernelPlacement | None:
     """Apply the best local translation of ``source`` onto ``target`` when it
     scores exactly ``level``, or return ``None`` if every translation scores
-    above ``level``. The caller knows that none scores below it."""
+    above ``level`` (or, given ``beat``, if no loss-free one sorts below
+    it). The caller knows that none scores below ``level``."""
     found = find_local_translation(g, source, target, alpha, beta, level, floor=level,
-                                   stats=stats)
+                                   beat=beat, stats=stats)
     if found is None:
         return None
     t, step = found
@@ -149,14 +150,17 @@ class SettleStats:
     """Counters that the settle loop of :func:`propagate` and :func:`refine`
     adds to when given one: heap pops, pops of a placement that a better one
     has since replaced, steps deferred to their next cost level, placements
-    that replace one whose vertex was already expanded, and steps skipped
-    without a search because the target's placement leaves no room."""
+    that replace one whose vertex was already expanded, steps skipped
+    without a search because the target's placement leaves no room, and
+    steps at exactly the target's cost and losses dropped because no map
+    beats the target's placement."""
 
     pops: int = 0
     stale_pops: int = 0
     deferred: int = 0
     reopenings: int = 0
     skipped: int = 0
+    ties_dropped: int = 0
 
 
 def propagate(
@@ -250,6 +254,7 @@ def _settle(
             steps = [(level - cost, t)]
         for floor, t in steps:
             incumbent = best.get(t)
+            beat = None
             if incumbent is not None:
                 bar = key(incumbent)
                 # a step only adds cost and never resurrects lost slots, so a
@@ -258,10 +263,18 @@ def _settle(
                 if bar[0] - cost - (bar[1] < losses) < floor:
                     counts.skipped += 1
                     continue
+                # at exactly the difference and the same losses, only a
+                # loss-free map with smaller slots wins
+                if bar[0] - cost == floor and bar[1] == losses:
+                    beat = incumbent
             # a deferred step found no map at the level before, so none
             # costs less than this floor
-            candidate = _step(g, source, t, pm.alpha, pm.beta, Fraction(floor, scale), stats)
-            if candidate is None:  # every map costs more: retry at the next level
+            candidate = _step(g, source, t, pm.alpha, pm.beta, Fraction(floor, scale), stats,
+                              beat)
+            if candidate is None and beat is not None:
+                # deferred, the step would exceed the difference: drop it
+                counts.ties_dropped += 1
+            elif candidate is None:  # every map costs more: retry at the next level
                 live = source.k - source.loss_count
                 # losing every slot but the center costs A*(live - 1), so a
                 # search at or above that level always finds a map; without

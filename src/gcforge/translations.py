@@ -223,11 +223,13 @@ class SearchStats:
     """Counters that :func:`find_local_translation` adds to when given one:
     calls, nodes expanded (every leaf is a node), leaves (nodes with no open
     slot left), searches that returned ``None`` because no map fit the
-    budget, nodes that returned early, by the test that cut them (bound,
-    clique bump, cost floor, tied-node image bound), image options never
-    tried because losing the slot is cheaper, and searches that returned
-    the rigid shift without expanding a node. A tie with the incumbent also
-    cuts options in the parent, which no counter sees."""
+    budget or none beat the placement to beat, nodes that returned early,
+    by the test that cut them (bound, clique bump, cost floor, and the image
+    bounds: the tied-node one and the restricted pass's reference tests),
+    image options never tried because losing the slot is cheaper, and
+    searches that returned the rigid shift without expanding a node. A tie
+    with the incumbent also cuts options in the parent, which no counter
+    sees."""
 
     searches: int = 0
     nodes: int = 0
@@ -257,6 +259,7 @@ def find_local_translation(
     budget: float = math.inf,
     *,
     floor: float = 0,
+    beat: KernelPlacement | None = None,
     stats: SearchStats | None = None,
 ) -> tuple[Translation, DeformationScore] | None:
     """Cheapest translation of a kernel placement onto a neighboring center.
@@ -322,6 +325,25 @@ def find_local_translation(
     The result is the same as without ``floor`` whenever the promise holds;
     if it does not, a cheaper map may be missed.
 
+    ``beat``, a placement centered at ``target`` with as many slots as
+    ``placement``, asks only whether some map can replace it at a tied cost
+    and losses: a map that loses no slot and whose slot tuple (each slot of
+    ``placement`` carried along, lost slots last) sorts strictly below
+    ``beat.slots``. A first, restricted pass looks for any such map within
+    the budget. It has no loss option, and it keeps every image that the
+    budget allows, not only those up to level ``A // B``. Its reference is
+    ``beat``'s slots at the live slots of ``placement``, cut at the first
+    lost slot where ``beat`` keeps a vertex, since a map that ties ``beat``
+    that far sorts after it. While the assigned images tie the reference,
+    the pass branches on the lowest open slot; it prunes a node whose
+    assigned images sort at or above the reference, or whose open slots up
+    to the reference's end, at their least free images, cannot sort below
+    it. It stops at its first leaf. When it finds none the call returns
+    ``None``; otherwise the search above runs with that leaf as an
+    incumbent and returns the same map as without ``beat``. A rigid shift
+    answered at the floor is returned before the pass, whether or not it
+    beats ``beat``.
+
     ``stats``, when given, gains this call's counters (:class:`SearchStats`).
     """
     A, B, scale = exact_weights(alpha, beta)
@@ -339,6 +361,9 @@ def find_local_translation(
     center = placement.center
     if not g.has_edge(center, target):
         raise AdjacencyError(f"target {target} is not adjacent to center {center}")
+    if beat is not None and (beat.center != target or beat.k != placement.k):
+        raise TranslationError(f"the placement to beat must have {placement.k} slots "
+                               f"centered at {target}")
 
     live = placement.live_slots()
     verts = [v for _, v in live]  # slot order; verts[0] == center
@@ -352,7 +377,8 @@ def find_local_translation(
     loss_key = A * W2 + W + 1
     floor_key = floor_cost * W2
 
-    best = ((limit + 1) * W2 - 1, ())  # (key, images)
+    budget_key = (limit + 1) * W2 - 1  # above every map within the budget
+    best = (budget_key, ())  # (key, images)
     counts = stats if stats is not None else SearchStats()
     counts.searches += 1
     # the rigid shift: each slot moves by delta when that lands on a neighbor
@@ -384,6 +410,10 @@ def find_local_translation(
     # pairs with at most the m - 1 other slots, so no level above m - 1 is
     # ever filled. At beta == 0 nothing moves up, so level 0 is the only one
     levels_kept = min(A // B, m - 1) + 1 if B else 1
+    # the restricted pass's reference (None in the full search), and the key
+    # of a slot with no option left: the loss, or in the restricted pass a
+    # key above every loss-free map's
+    ref, no_option = None, loss_key
 
     def least_images(unassigned: list[int], least_of) -> tuple[int, ...]:
         """The image sequence of the assigned slots with each open slot at
@@ -395,16 +425,28 @@ def find_local_translation(
         return tuple(least)
 
     def search(unassigned: list[int], used_mask: int, key: int,
-               levels: list[list[int]], i: int, u: int) -> None:
+               levels: list[list[int]], i: int, u: int, tie: int) -> bool | None:
         """Expand the node reached by giving slot ``i`` image ``u`` (``lost``
-        for a loss); ``levels`` holds the parent's conflict levels."""
+        for a loss); ``levels`` holds the parent's conflict levels. In the
+        restricted pass, a positive ``tie`` says that slots ``0..tie-2``,
+        the only ones assigned before ``i == tie - 1``, tie the reference;
+        the pass returns True at its first leaf."""
         nonlocal best
         counts.nodes += 1
+        if tie:
+            # the slots before i tie the reference and the open ones read -1:
+            # at or above it, so is every leaf below
+            if tuple(images) >= ref:
+                counts.tie_prunes += 1
+                return
+            if u < ref[i]:  # below it: every leaf does
+                tie = 0
         if not unassigned:  # a leaf, the lone center included
             counts.leaves += 1
             leaf = (key, tuple(images))
             if leaf < best:
                 best = leaf
+                return ref is not None
             return
         if u != lost:
             # the pair with slot i breaks for an open slot adjacent to it at
@@ -444,7 +486,7 @@ def find_local_translation(
                 levels[j] = lv
             # the two lowest keys over the lowest two non-empty levels
             sb = shift_bit[j]
-            low = low2 = loss_key
+            low = low2 = no_option
             low_imgs = c = 0
             for x in levels[j]:
                 if x:
@@ -465,11 +507,18 @@ def find_local_translation(
                 return
             if low_imgs:
                 contested.append((j, low_imgs, low2 - low))
+            elif ref is not None:  # no image left, and the restricted pass has no loss
+                counts.bound_prunes += 1
+                return
             if low >= top:
                 if low > top:
                     top, tops = low, [j]
                 else:
                     tops.append(j)
+        # levels are disjoint, so a slot's free images are their sum
+        if tie and least_images(unassigned[:len(ref) - tie], lambda j: sum(levels[j])) >= ref:
+            counts.tie_prunes += 1
+            return
         tied = bound == best[0]
         if tied:
             # a leaf that ties keeps every open slot at its cheapest level:
@@ -522,7 +571,7 @@ def find_local_translation(
 
         # branch on the most expensive slot, then the one with the fewest free
         # candidates (its neighbors outside used_mask), then the lowest
-        j = unassigned[0] if tied else min(
+        j = unassigned[0] if tied or tie else min(
             tops, key=lambda s: (nbr[verts[s]] & ~used_mask).bit_count())
         # (key, image) in key order, image order within a key: level by
         # level, the shift image first, then the loss. An image above the
@@ -539,8 +588,9 @@ def find_local_translation(
                 x ^= bit
                 options.append((c + W, bit.bit_length() - 1))
             c += BW2
-        counts.dominated_options += (nbr[verts[j]] & ~used_mask).bit_count() - len(options)
-        options.append((loss_key, lost))
+        if ref is None:  # the restricted pass skips images for the budget, not the loss
+            counts.dominated_options += (nbr[verts[j]] & ~used_mask).bit_count() - len(options)
+            options.append((loss_key, lost))
         rest = [i for i in unassigned if i != j]
         base = bound - options[0][0]  # the bound without j's share
 
@@ -555,13 +605,39 @@ def find_local_translation(
             images[j] = w
             if child == best[0] and tuple(images) > best[1]:
                 break
-            search(rest, used_mask if w == lost else used_mask | 1 << w, key + opt, levels, j, w)
+            if search(rest, used_mask if w == lost else used_mask | 1 << w, key + opt, levels, j,
+                      w, tie and tie + 1):
+                return True
         images[j] = -1
 
+    if beat is not None:
+        # beat's slots, lost last, at the live slots here, cut at the first
+        # slot lost here where beat keeps a vertex: a map that ties beat up
+        # to there sorts after it
+        ref = []
+        for s, b in zip(placement.slots, beat.slots):
+            if s is not None:
+                ref.append(lost if b is None else b)
+            elif b is not None:
+                break
+        ref = tuple(ref)
+        no_option = (B * m * m + 1) * W2
+        # the pass is bounded by the budget alone; the seeded shift waits
+        # for the full search
+        seed, best = best, (budget_key, ())
+        # a loss-free map within the budget breaks at most limit // B pairs
+        high = 0 if not B else m - 1 if limit >= B * (m - 1) else limit // B
+        root = [[nbr[v]] + [0] * high for v in verts]
+        if not search(list(range(1, m)), 1 << target, 0, root, 0, target, 1):
+            counts.none_results += 1
+            return None
+        best = min(best, seed)
+        images[1:] = [-1] * (m - 1)
+        ref, no_option = None, loss_key
     # every free neighbor starts at level 0; the root node then takes the
     # center's image like any other assignment
     root = [[nbr[v]] + [0] * (levels_kept - 1) for v in verts]
-    search(list(range(1, m)), 1 << target, 0, root, 0, target)
+    search(list(range(1, m)), 1 << target, 0, root, 0, target, 0)
     if not best[1]:
         counts.none_results += 1
         return None

@@ -206,6 +206,15 @@ class TestTranslate:
         assert err == f"error: {out}: names the same file as another output\n"
         assert not out.exists()
 
+    def test_out_naming_the_graph_exits_2(self, workdir, capsys):
+        # the placements would replace the graph they were computed from
+        graph = workdir / "path.edges"
+        before = graph.read_bytes()
+        code = run_cli("translate", "--graph", str(graph), "--out", str(graph))
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {graph}: names one of the stage's input files\n"
+        assert graph.read_bytes() == before
+
     @pytest.mark.parametrize("stage", ["translate", "make-dataset"])
     def test_vertex_count_above_its_edges_exits_2(self, tmp_path, capsys, stage):
         # a connected graph on n vertices has n - 1 edges or more; a graph
@@ -563,6 +572,23 @@ class TestTrainCommand:
         assert err.startswith("error: ") and "names the same file" in err
         assert err.count("\n") == 1
         assert not (tmp_path / "m.csv").exists()
+
+    def test_metrics_naming_the_training_data_exits_2(self, tmp_path, capsys):
+        # another spelling of the training CSV, which the metrics would replace
+        (tmp_path / "s.scheme").write_text("2 1\n0 0 0\n1 1 0\n", encoding="utf-8")
+        self._write_separable(tmp_path / "tr.csv", 2, 4, seed=0)
+        self._write_separable(tmp_path / "te.csv", 2, 4, seed=1)
+        before = (tmp_path / "tr.csv").read_bytes()
+        (tmp_path / "sub").mkdir()
+        metrics = tmp_path / "sub" / ".." / "tr.csv"
+        code = run_cli(
+            "train", "--scheme", str(tmp_path / "s.scheme"), "--epochs", "1",
+            "--train-data", str(tmp_path / "tr.csv"), "--test-data", str(tmp_path / "te.csv"),
+            "--metrics-out", str(metrics),
+        )
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {metrics}: names one of the stage's input files\n"
+        assert (tmp_path / "tr.csv").read_bytes() == before
 
     def test_negative_label_exits_2(self, workdir, capsys):
         _, _, s_path = _build_grid_artifacts(workdir)

@@ -217,6 +217,12 @@ class TestFindLocalTranslation:
         with pytest.raises(AdjacencyError):
             find_local_translation(path3, placement(0, [0, 1]), 2)
 
+    @pytest.mark.parametrize("beat", [placement(1, [1, 0, 2]), placement(2, [2, 1])],
+                             ids=["other-center", "other-width"])
+    def test_placement_to_beat_must_match(self, path3, beat):
+        with pytest.raises(TranslationError, match="to beat"):
+            find_local_translation(path3, placement(1, [1, 0, 2]), 2, beat=beat)
+
     def test_output_always_satisfies_hard_constraints(self):
         for trial in range(40):
             g = er_graph(8, 0.4, 4000 + trial)
@@ -344,11 +350,11 @@ def _documented_order(placement, target, alpha, beta):
 
 
 @st.composite
-def search_cases(draw):
-    """A random connected graph on at most 8 vertices (a random tree plus
-    extra edges), a placement of up to 6 slots at one vertex, some of them
-    lost, and a neighbor of that vertex as the target."""
-    n = draw(st.integers(2, 8))
+def search_cases(draw, min_n=2, min_others=0):
+    """A random connected graph on ``min_n`` to 8 vertices (a random tree
+    plus extra edges), a placement of ``min_others + 1`` to 6 slots at one
+    vertex, some of them lost, and a neighbor of that vertex as the target."""
+    n = draw(st.integers(min_n, 8))
     edges = [(draw(st.integers(0, v - 1)), v) for v in range(1, n)]
     pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
     edges += [(u, v) for u, v in draw(st.lists(pairs, max_size=2 * n)) if u != v]
@@ -356,7 +362,7 @@ def search_cases(draw):
     center = draw(st.integers(0, n - 1))
     target = draw(st.sampled_from(g.neighbors(center)))
     others = draw(st.lists(st.integers(0, n - 1).filter(lambda w: w != center),
-                           unique=True, max_size=5))
+                           unique=True, min_size=min_others, max_size=5))
     slots = [center] + [draw(st.sampled_from([w, w, None])) for w in others]
     return g, KernelPlacement(center, tuple(slots), ZERO_SCORE), target
 
@@ -516,6 +522,68 @@ class TestSearchAgainstOracleProperty:
         oracle = enumerate_translations_bruteforce(g, [0, 1, 2, 3, 6], 0, 6, 1.79, 0.8)
         winner = min(oracle, key=_documented_order(p, 6, 1.79, 0.8))
         assert find_local_translation(g, p, 6, 1.79, 0.8) == winner
+
+
+def _carried(p, tr):
+    """The slots a map gives a placement: each slot's image, lost slots lost."""
+    mapping = tr.mapping()
+    return tuple(None if v is None else mapping[v] for v in p.slots)
+
+
+def _slot_order(slots, n):
+    """Sort key of a slot tuple, a lost slot after every vertex id."""
+    return tuple(n if s is None else s for s in slots)
+
+
+@st.composite
+def beat_cases(draw):
+    """A search case, integer weights, its oracle list, and a placement at
+    the target to beat: the slots of one of the maps (often the loss-free map
+    whose slots sort first), with some slots lost or moved to unused
+    vertices, lost slots of the source included."""
+    g, p, target = draw(search_cases(min_n=4, min_others=2))
+    alpha, beta = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    domain = [v for v in p.slots if v is not None]
+    oracle = enumerate_translations_bruteforce(g, domain, p.center, target, alpha, beta)
+    loss_free = [_carried(p, tr) for tr, s in oracle if s.losses == 0]
+    first = [min(loss_free, key=lambda slots: _slot_order(slots, g.n))] if loss_free else []
+    slots = list(draw(st.sampled_from(first * 3 + [_carried(p, tr) for tr, _ in oracle])))
+    for i in range(1, p.k):
+        change = draw(st.sampled_from(["keep", "keep", "lose", "move"]))
+        unused = [w for w in range(g.n) if w not in slots]
+        if change == "lose":
+            slots[i] = None
+        elif change == "move" and unused:
+            slots[i] = draw(st.sampled_from(unused))
+    return g, p, target, alpha, beta, oracle, KernelPlacement(target, tuple(slots), ZERO_SCORE)
+
+
+class TestRestrictedSearch:
+    @settings(PROFILE, max_examples=600)
+    @given(beat_cases(), st.data())
+    def test_none_exactly_when_no_map_beats_the_placement(self, case, data):
+        # a placement to beat returns None exactly when no loss-free map
+        # within the budget gives slots that sort below it, and otherwise
+        # the oracle's winner within the budget; the floor is at or below
+        # the least cost. The draws that tell the pass's rules apart (a map
+        # equal to the placement, a cut reference, a lossy map below it) are
+        # rare, so this property draws more cases than the others
+        g, p, target, alpha, beta, oracle, beat = case
+        least = min(alpha * s.losses + beta * s.snp_violations for _, s in oracle)
+        floor = data.draw(st.sampled_from([least, least - 1, 0]))
+        budget = data.draw(st.sampled_from([least, least + 1, least + 3, math.inf, least - 1]))
+        within = [pair for pair in oracle if pair[1].total <= budget]
+        bar = _slot_order(beat.slots, g.n)
+        beating = [tr for tr, s in within
+                   if s.losses == 0 and _slot_order(_carried(p, tr), g.n) < bar]
+        got = find_local_translation(g, p, target, alpha, beta, budget, floor=floor, beat=beat)
+        if beating:
+            assert got == min(within, key=_documented_order(p, target, alpha, beta))
+        elif got is not None:
+            # the rigid shift, answered at the floor before the restricted pass
+            tr, score = got
+            assert score.losses == 0 and score.total == floor
+            assert all(w - v == target - p.center for v, w in zip(tr.domain, tr.images))
 
 
 @st.composite

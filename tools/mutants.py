@@ -71,7 +71,7 @@ MUTANTS = (
            "free &= ~members", "pass"),
     # tie cuts at bound equality and the strict settle budget
     Mutant("images-reset-after-options-dropped", TRANSLATIONS,
-           "key + opt, levels, j, w)\n        images[j] = -1\n", "key + opt, levels, j, w)\n"),
+           "return True\n        images[j] = -1\n", "return True\n"),
     Mutant("node-tie-on-total-only", TRANSLATIONS,
            "tied = bound == best[0]", "tied = bound // W2 == best[0] // W2"),
     Mutant("child-tie-on-total-only", TRANSLATIONS,
@@ -79,7 +79,7 @@ MUTANTS = (
     Mutant("strict-budget-on-equal-losses", PROPAGATION,
            "(bar[1] < losses)", "(bar[1] <= losses)"),
     Mutant("tie-node-branches-on-selected-slot", TRANSLATIONS,
-           "j = unassigned[0] if tied else min(", "j = min("),
+           "j = unassigned[0] if tied or tie else min(", "j = unassigned[0] if tie else min("),
     # conflict levels per open slot, one incumbent, one lost-slot encoding
     Mutant("used-image-left-in-a-level", TRANSLATIONS,
            "others = ~(nu | 1 << u)", "others = ~nu"),
@@ -95,8 +95,7 @@ MUTANTS = (
            "levels_kept = min(A // B, m - 1) + 1 if B else 1",
            "levels_kept = A // B + 1 if B else 1"),
     Mutant("root-skips-the-center", TRANSLATIONS,
-           "search(list(range(1, m)), 1 << target, 0, root, 0, target)",
-           "search(list(range(1, m)), 1 << target, 0, root, 0, lost)"),
+           "root, 0, target, 0)", "root, 0, lost, 0)"),
     Mutant("child-writes-parent-levels", TRANSLATIONS,
            "levels = levels[:]", "levels = levels"),
     Mutant("pairs-without-the-loss-term", TRANSLATIONS,
@@ -168,11 +167,14 @@ MUTANTS = (
     Mutant("label-width-unchecked", "src/gcforge/net.py",
            "if labels[-1] > _LABEL_MAX:", "if False:", ("tests/test_net.py", "tests/test_cli.py")),
     # a stage that exits 2 removes the outputs it wrote before the failure,
-    # and one whose outputs name the same file writes none
+    # and one whose outputs name the same file, or one of its inputs, writes
+    # none
     Mutant("failed-stage-keeps-outputs", "src/gcforge/cli.py",
            "Path(done).unlink(missing_ok=True)", "pass", ("tests/test_cli.py",)),
     Mutant("two-outputs-one-file", "src/gcforge/cli.py",
            "if real in seen:", "if False:", ("tests/test_cli.py",)),
+    Mutant("output-names-an-input", "src/gcforge/cli.py",
+           "if real in read:", "if False:", ("tests/test_cli.py",)),
     # cheaper search nodes: each shortcut skips work and changes no decision.
     # The scan and the clique sum stop at their first loss, so
     # bound-prunes-ties and clique-bump-prunes-ties mutate those exits.
@@ -225,6 +227,15 @@ MUTANTS = (
            "v + delta >= 0 and nbr[v] >> v + delta & 1", "0 <= v + delta < lost"),
     Mutant("tie-bound-keeps-equal-images", TRANSLATIONS,
            "mins.get(j, 0)) >= best[1]:", "mins.get(j, 0)) > best[1]:"),
+    # the restricted pass of a step that can only tie its target's placement
+    Mutant("restricted-prefix-at-reference-kept", TRANSLATIONS,
+           "if tuple(images) >= ref:", "if tuple(images) > ref:"),
+    Mutant("reference-not-cut-at-lost-slot", TRANSLATIONS,
+           "elif b is not None:\n                break", "elif b is not None:\n                pass"),
+    Mutant("tie-rule-without-cost-gap", PROPAGATION,
+           "if bar[0] - cost == floor and bar[1] == losses:", "if bar[1] == losses:"),
+    Mutant("restricted-pass-keeps-loss", TRANSLATIONS,
+           "if ref is None:  # the restricted pass skips", "if True:  # the restricted pass skips"),
 )
 
 
