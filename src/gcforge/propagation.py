@@ -17,7 +17,6 @@ import heapq
 import itertools
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .graph import (
     ConnectivityError,
@@ -38,8 +37,9 @@ from .translations import (
     ZERO_SCORE,
     TranslationError,
     exact_weights,
-    find_local_translation,
 )
+# the integer entry, under the name perfbench/spans.py patches to time searches
+from .translations import _search as find_local_translation
 
 
 class PlacementFormatError(LineNumberedError):
@@ -52,28 +52,32 @@ def _distance_sums(g: Graph) -> list[int]:
     All n breadth-first searches run at once, bit-parallel (Then et al.,
     PVLDB 2014): bit s of ``reach[v]`` says source s has reached v. Hop
     distance is symmetric, so summing ``d`` over the sources that first reach
-    ``v`` at level ``d`` gives ``v``'s own distance sum.
+    ``v`` at level ``d`` gives ``v``'s own distance sum. Each level visits
+    only the vertices some source has not reached.
     """
     if g.n == 0:
         raise ParameterError("empty graph has no centrality")
     adj = [g.neighbors(v) for v in range(g.n)]
+    full = (1 << g.n) - 1
     reach = [1 << v for v in range(g.n)]
     frontier = list(reach)
     sums = [0] * g.n
+    partial = list(range(g.n))
     d = 0
-    while any(frontier):
+    while partial and any(frontier):
         d += 1
-        nxt = []
-        for v, nbrs in enumerate(adj):
+        nxt = [0] * g.n
+        for v in partial:
             seen = 0
-            for u in nbrs:
+            for u in adj[v]:
                 seen |= frontier[u]
             new = seen & ~reach[v]
             reach[v] |= new
             sums[v] += d * new.bit_count()
-            nxt.append(new)
+            nxt[v] = new
         frontier = nxt
-    if reach.count((1 << g.n) - 1) != g.n:
+        partial = [v for v in partial if reach[v] != full]
+    if partial:
         raise ConnectivityError("graph is not connected, so centrality is undefined")
     return sums
 
@@ -121,27 +125,27 @@ class PlacementMap:
 
 
 def _step(
-    g: Graph, source: KernelPlacement, target: int, alpha: float, beta: float, level: float,
-    stats: SearchStats | None, beat: KernelPlacement | None,
+    g: Graph, source: KernelPlacement, target: int, pm: PlacementMap, A: int, B: int,
+    level: int, stats: SearchStats, beat: KernelPlacement | None,
 ) -> KernelPlacement | None:
     """Apply the best local translation of ``source`` onto ``target`` when it
-    scores exactly ``level``, or return ``None`` if every translation scores
-    above ``level`` (or, given ``beat``, if no loss-free one sorts below
-    it). The caller knows that none scores below ``level``."""
-    found = find_local_translation(g, source, target, alpha, beta, level, floor=level,
-                                   beat=beat, stats=stats)
+    costs exactly ``level`` (``A*losses + B*pairs``), or return ``None`` if
+    every translation costs more (or, given ``beat``, if no loss-free one
+    sorts below it). The caller knows that none costs less than ``level``."""
+    found = find_local_translation(g, source, target, A, B, level, level, beat, stats)
     if found is None:
         return None
-    t, step = found
-    mapping = t.mapping()
+    images, losses, pairs = found
     acc = source.accumulated
     # at beta == 0 broken pairs cost nothing and the file's score cannot
     # carry them, so the chain records none
-    pairs = acc.snp_violations + step.snp_violations if beta else 0
+    pairs = acc.snp_violations + pairs if B else 0
+    # the images follow the live slots in order, g.n for a slot lost here
+    it = iter(images)
     return KernelPlacement(
         center=target,
-        slots=tuple(None if v is None else mapping[v] for v in source.slots),
-        accumulated=DeformationScore.of(acc.losses + step.losses, pairs, alpha, beta),
+        slots=tuple(None if v is None or (w := next(it)) == g.n else w for v in source.slots),
+        accumulated=DeformationScore.of(acc.losses + losses, pairs, pm.alpha, pm.beta),
     )
 
 
@@ -215,6 +219,7 @@ def _settle(
 ) -> None:
     A, B, scale = exact_weights(pm.alpha, pm.beta)
     counts = settle_stats if settle_stats is not None else SettleStats()
+    search_counts = stats if stats is not None else SearchStats()
 
     def key(p: KernelPlacement) -> tuple:
         acc = p.accumulated
@@ -269,8 +274,7 @@ def _settle(
                     beat = incumbent
             # a deferred step found no map at the level before, so none
             # costs less than this floor
-            candidate = _step(g, source, t, pm.alpha, pm.beta, Fraction(floor, scale), stats,
-                              beat)
+            candidate = _step(g, source, t, pm, A, B, floor, search_counts, beat)
             if candidate is None and beat is not None:
                 # deferred, the step would exceed the difference: drop it
                 counts.ties_dropped += 1

@@ -113,10 +113,6 @@ class KernelPlacement:
     def loss_count(self) -> int:
         return sum(1 for v in self.slots if v is None)
 
-    def live_slots(self) -> list[tuple[int, int]]:
-        """(slot index, vertex) pairs for surviving slots, in slot order."""
-        return [(i, v) for i, v in enumerate(self.slots) if v is not None]
-
 
 def is_injective(t: Translation) -> bool:
     """True iff no two domain vertices share a surviving image."""
@@ -345,6 +341,10 @@ def find_local_translation(
     beats ``beat``.
 
     ``stats``, when given, gains this call's counters (:class:`SearchStats`).
+
+    This public entry checks its arguments and makes them exact integers
+    for :func:`_search`, which the settle loop of
+    :func:`~gcforge.propagation.propagate` calls with integers directly.
     """
     A, B, scale = exact_weights(alpha, beta)
     if math.isnan(budget):
@@ -364,9 +364,27 @@ def find_local_translation(
     if beat is not None and (beat.center != target or beat.k != placement.k):
         raise TranslationError(f"the placement to beat must have {placement.k} slots "
                                f"centered at {target}")
+    found = _search(g, placement, target, A, B, limit, floor_cost, beat,
+                    stats if stats is not None else SearchStats())
+    if found is None:
+        return None
+    images, losses, pairs = found
+    moves = sorted(zip([v for v in placement.slots if v is not None], images))
+    translation = Translation(tuple(v for v, _ in moves),
+                              tuple(None if w == g.n else w for _, w in moves))
+    return translation, DeformationScore.of(losses, pairs, alpha, beta)
 
-    live = placement.live_slots()
-    verts = [v for _, v in live]  # slot order; verts[0] == center
+
+def _search(
+    g: Graph, placement: KernelPlacement, target: int, A: int, B: int, limit: int | float,
+    floor_cost: int, beat: KernelPlacement | None, counts: SearchStats,
+) -> tuple[tuple[int, ...], int, int] | None:
+    """:func:`find_local_translation` on checked, exact integers: weights
+    ``A``, ``B``, budget ``limit`` (or infinity) and floor ``floor_cost`` in
+    units of ``1/scale``. Returns the images of the live slots in slot order
+    (``g.n`` for a loss), the losses and the broken pairs, or ``None``."""
+    verts = [v for v in placement.slots if v is not None]  # verts[0] == center
+    center = verts[0]
     m = len(verts)
     lost = g.n  # sentinel image; conveniently orders after every vertex id
     delta = target - center
@@ -379,7 +397,6 @@ def find_local_translation(
 
     budget_key = (limit + 1) * W2 - 1  # above every map within the budget
     best = (budget_key, ())  # (key, images)
-    counts = stats if stats is not None else SearchStats()
     counts.searches += 1
     # the rigid shift: each slot moves by delta when that lands on a neighbor
     # of its vertex and is lost otherwise. It is injective, so when it fits
@@ -391,13 +408,21 @@ def find_local_translation(
              for v in verts]
     n_lost = shift.count(lost)
     if A * n_lost <= limit:
-        pairs = _broken_pairs(nbr, verts, shift, lost)
+        # kept slots u and v break their pair when bit u of nbr[v] and of
+        # nbr[v + delta] moved back by delta differ; each pair counts twice
+        kept = sum(1 << v for v, w in zip(verts, shift) if w != lost)
+        pairs = 0
+        for v, w in zip(verts, shift):
+            if w != lost:
+                back = nbr[w] >> delta if delta >= 0 else nbr[w] << -delta
+                pairs += ((back ^ nbr[v]) & kept).bit_count()
+        pairs //= 2
         shift_key = (A * n_lost + B * pairs) * W2 + n_lost * W + n_lost
         if shift_key <= best[0]:
             best = (shift_key, tuple(shift))
     if best[0] == floor_key:
         counts.shift_answers += 1
-        return _result(verts, shift, lost, n_lost, pairs, alpha, beta)
+        return best[1], n_lost, pairs
     # an open slot reads -1, before every vertex id and the lost sentinel, so
     # tuple(images) > best[1] holds exactly when the first slot that differs
     # from the incumbent is assigned and carries a greater image
@@ -646,18 +671,7 @@ def find_local_translation(
     # the key's cost A*losses + B*pairs gives the pairs; at beta == 0 it
     # holds none, so the winner's are counted
     pairs = (key // W2 - A * losses) // B if B else _broken_pairs(nbr, verts, images, lost)
-    return _result(verts, images, lost, losses, pairs, alpha, beta)
-
-
-def _result(
-    verts: list[int], images, lost: int, losses: int, pairs: int, alpha: float, beta: float,
-) -> tuple[Translation, DeformationScore]:
-    """The translation and score of a map found by the search, its images
-    in slot order with ``lost`` for a loss."""
-    order = sorted(range(len(verts)), key=lambda i: verts[i])
-    domain = tuple(verts[i] for i in order)
-    imgs = tuple(None if images[i] == lost else images[i] for i in order)
-    return Translation(domain, imgs), DeformationScore.of(losses, pairs, alpha, beta)
+    return images, losses, pairs
 
 
 def enumerate_translations_bruteforce(

@@ -1,14 +1,18 @@
 from __future__ import annotations
 
+import contextlib
 import dataclasses
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import gcforge
 from gcforge.cli import main
@@ -29,7 +33,7 @@ from gcforge.propagation import (
 )
 from gcforge.translations import SearchStats
 
-from conftest import connected_er_graphs
+from conftest import PROFILE, connected_er_graphs
 
 
 def run_cli(*args) -> int:
@@ -781,3 +785,97 @@ class TestEntryPoint:
                        "--workers", "2", "--out", str(workdir / "p"))
         assert code == 2
         assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
+
+
+# every file a stage reads, and the argv that runs the stage on a work
+# directory holding the 3x3 grid's files: coords.csv -> grid.edges ->
+# grid.placements -> grid.scheme, and train.csv / test.csv from make-dataset
+MAKE_DATASET = ["make-dataset", "--graph", "grid.edges", "--placements", "grid.placements",
+                "--classes", "2", "--samples-per-class", "2", "--out", "out"]
+TRAIN = ["train", "--scheme", "grid.scheme", "--train-data", "train.csv",
+         "--test-data", "test.csv", "--epochs", "1", "--batch", "2", "--hidden", "2",
+         "--metrics-out", "out"]
+READERS = {
+    "coords.csv": [["infer-graph", "--coords", "coords.csv", "--k", "2", "--out", "out"]],
+    "grid.edges": [["translate", "--graph", "grid.edges", "--out", "out"], MAKE_DATASET],
+    "grid.placements": [["build-layer", "--placements", "grid.placements", "--out", "out"],
+                        MAKE_DATASET],
+    "grid.scheme": [["verify-grid", "--scheme", "grid.scheme", "--rows", "3", "--cols", "3"],
+                    TRAIN],
+    "train.csv": [TRAIN],
+    "test.csv": [TRAIN],
+}
+# characters the formats are made of, so that an edit often still parses
+FORMAT_CHARS = "0123456789-+.e,; =\n\t#slotrcxabelnif_⊥\x00"
+PATH_FLAGS = {"--coords", "--graph", "--placements", "--scheme", "--train-data", "--test-data",
+              "--out", "--metrics-out"}
+
+
+def _in(work: Path, argv: list[str]) -> list[str]:
+    """``argv`` with each file name after a path flag placed in ``work``."""
+    return [str(work / a) if i and argv[i - 1] in PATH_FLAGS else a for i, a in enumerate(argv)]
+
+
+@pytest.fixture(scope="module")
+def valid_inputs(tmp_path_factory) -> dict[str, bytes]:
+    """Each input file of the 3x3 grid's pipeline, every one under 1 KB."""
+    work = tmp_path_factory.mktemp("valid")
+    lines = ["r,c"] + [f"{float(r)!r},{float(c)!r}" for r, c in grid_coordinates(3, 3).points]
+    (work / "coords.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    steps = [["infer-graph", "--coords", "coords.csv", "--k", "2", "--out", "grid.edges"],
+             ["translate", "--graph", "grid.edges", "--out", "grid.placements"],
+             ["build-layer", "--placements", "grid.placements", "--out", "grid.scheme"]]
+    steps += [["make-dataset", "--graph", "grid.edges", "--placements", "grid.placements",
+               "--classes", "2", "--samples-per-class", "2", "--seed", str(seed),
+               "--out", out] for seed, out in ((0, "train.csv"), (1, "test.csv"))]
+    for argv in steps:
+        assert main(_in(work, argv)) == 0
+    inputs = {name: (work / name).read_bytes() for name in READERS}
+    assert all(len(data) < 1024 for data in inputs.values())
+    return inputs
+
+
+@st.composite
+def malformed_inputs(draw, valid: dict[str, bytes]) -> tuple[str, bytes]:
+    """One input file, replaced by bytes under 1 KB: random bytes, or a
+    valid file cut short or with a span rewritten from the formats'
+    characters or from random bytes."""
+    name = draw(st.sampled_from(sorted(READERS)))
+    base = valid[name]
+    how = draw(st.sampled_from(("bytes", "cut", "edit", "edit bytes")))
+    if how == "bytes":
+        data = draw(st.binary(max_size=1023))
+    else:
+        start = draw(st.integers(0, len(base)))
+        if how == "cut":
+            data = base[:start]
+        else:
+            end = draw(st.integers(start, min(len(base), start + 40)))
+            new = (draw(st.text(FORMAT_CHARS, max_size=20)).encode() if how == "edit"
+                   else draw(st.binary(max_size=20)))
+            data = base[:start] + new + base[end:]
+    return name, data[:1023]
+
+
+class TestMalformedInput:
+    # no input file under 1 KB, to any stage that reads it, raises past
+    # main: a stage exits 0 (or verify-grid 1, with its verdict), or 2 with
+    # a single error line
+    @settings(PROFILE, max_examples=400)
+    @given(st.data())
+    def test_no_input_raises_past_main(self, valid_inputs, data):
+        name, bad = data.draw(malformed_inputs(valid_inputs))
+        argv = data.draw(st.sampled_from(READERS[name]))
+        with tempfile.TemporaryDirectory() as tmp:
+            work = Path(tmp)
+            for other, content in valid_inputs.items():
+                (work / other).write_bytes(bad if other == name else content)
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(_in(work, argv))
+        err = err.getvalue()
+        if code == 2:
+            assert err.startswith("error: ") and err.count("\n") == 1, err
+        else:
+            assert err == ""
+            assert code == 0 or code == 1 and argv[0] == "verify-grid", (code, out.getvalue())

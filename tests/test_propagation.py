@@ -3,16 +3,16 @@ from __future__ import annotations
 import ast
 import dataclasses
 import hashlib
+import heapq
 import math
 import os
 import subprocess
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import gcforge
 import gcforge.propagation
@@ -459,25 +459,93 @@ class TestBudgetedSearch:
     def test_settle_floors_never_exceed_the_least_cost(self, monkeypatch, alpha, beta, sha):
         # every floor the settle loop promises a search is at or below the
         # cost of that step's unbounded optimum, and a map found there costs
-        # exactly the floor
+        # exactly the floor. The loop calls the search's integer entry, which
+        # it looks up as propagation.find_local_translation
         g = connected_er_graphs(1, 50, 0.1, base_seed=9000)[0]
+        search = gcforge.propagation.find_local_translation
         calls = []
 
-        def recording(g, source, target, alpha, beta, budget, **kwargs):
-            found = find_local_translation(g, source, target, alpha, beta, budget, **kwargs)
-            calls.append((source, target, kwargs["floor"], found))
+        def recording(g, source, target, A, B, limit, floor, *args):
+            found = search(g, source, target, A, B, limit, floor, *args)
+            calls.append((source, target, limit, floor, found))
             return found
 
         monkeypatch.setattr(gcforge.propagation, "find_local_translation", recording)
         assert _placements_sha(g, alpha, beta) == sha
-        A, B, scale = exact_weights(alpha, beta)
-        assert any(floor > 0 for _, _, floor, _ in calls)
-        for source, target, floor, found in calls:
+        A, B, _ = exact_weights(alpha, beta)
+        assert any(floor > 0 for _, _, _, floor, _ in calls)
+        for source, target, limit, floor, found in calls:
+            assert limit == floor  # every settle search is budgeted at its floor
             score = find_local_translation(g, source, target, alpha, beta)[1]
-            least = Fraction(A * score.losses + B * score.snp_violations, scale)
+            least = A * score.losses + B * score.snp_violations
             assert floor <= least
             if found is not None:
-                assert floor == least and found[1] == score
+                assert floor == least and found[1:] == (score.losses, score.snp_violations)
+
+
+def _naive_settle(g, seed, alpha, beta):
+    """The process that propagate's settle loop reproduces: pop the best
+    placement, skip it if a better one has replaced it, search every
+    neighbor step without a budget, and keep a candidate whose key
+    (cost, losses, slots with lost last) is smaller than the target's."""
+    A, B, _ = exact_weights(alpha, beta)
+
+    def key(p):
+        acc = p.accumulated
+        slots = tuple(g.n if s is None else s for s in p.slots)
+        return (A * acc.losses + B * acc.snp_violations, acc.losses, slots)
+
+    best = {seed.center: seed}
+    heap = [(key(seed), seed.center)]
+    while heap:
+        k, u = heapq.heappop(heap)
+        source = best[u]
+        if k != key(source):
+            continue
+        acc = source.accumulated
+        for t in g.neighbors(u):
+            tr, step = find_local_translation(g, source, t, alpha, beta)
+            image = tr.mapping()
+            candidate = KernelPlacement(
+                center=t,
+                slots=tuple(None if v is None else image[v] for v in source.slots),
+                accumulated=DeformationScore.of(
+                    acc.losses + step.losses,
+                    acc.snp_violations + step.snp_violations if beta else 0, alpha, beta),
+            )
+            if t not in best or key(candidate) < key(best[t]):
+                best[t] = candidate
+                heapq.heappush(heap, (key(candidate), t))
+    return best
+
+
+@st.composite
+def settle_cases(draw):
+    """A connected graph of 2-14 vertices (a random tree plus chords), a
+    seed kernel of radius 1 or 2 with at most 9 slots, and integer weights
+    (either may be 0)."""
+    n = draw(st.integers(2, 14))
+    edges = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges |= set(draw(st.lists(st.sampled_from(pairs), max_size=n)))
+    g = Graph(n, sorted(edges))
+    seed = init_kernel(g, most_central_vertex(g), draw(st.integers(1, 2)))
+    assume(seed.k <= 9)
+    return g, seed, float(draw(st.integers(0, 3))), float(draw(st.integers(0, 3)))
+
+
+class TestNaiveSettle:
+    # the settle loop's rules (deferred steps, floors, the strict budget,
+    # the skip test, the tie drop) only save searches: the placements and
+    # scores must be those of the naive loop, and a settled map is a fixed
+    # point of refine
+    @settings(PROFILE, max_examples=800)
+    @given(settle_cases())
+    def test_propagate_matches_the_naive_loop(self, case):
+        g, seed, alpha, beta = case
+        pm = propagate(g, seed, alpha, beta)
+        assert pm.placements == _naive_settle(g, seed, alpha, beta)
+        assert refine(g, pm).placements == pm.placements
 
 
 def _next_cost_brute(A, B, m, cost):

@@ -333,7 +333,7 @@ def _documented_order(placement, target, alpha, beta):
     then the image sequence in slot order with a lost slot after every
     vertex id. The total is a Fraction of the weights, independent of the
     integer costs the search compares."""
-    live = [v for _, v in placement.live_slots()]
+    live = [v for v in placement.slots if v is not None]
     delta = target - placement.center
     alpha, beta = Fraction(alpha), Fraction(beta)
 

@@ -110,7 +110,7 @@ MUTANTS = (
            "tuple(g.n if w is None else w for w in pair[0].images)",
            "tuple(-1 if w is None else w for w in pair[0].images)"),
     Mutant("beta-zero-pairs-kept", PROPAGATION,
-           "step.snp_violations if beta else 0", "step.snp_violations"),
+           "acc.snp_violations + pairs if B else 0", "acc.snp_violations + pairs"),
     Mutant("templates-accept-one-slot", "src/gcforge/net.py",
            "    if k < 2:  # a centered", "    if False:  # a centered",
            ("tests/test_net.py", "tests/test_cli.py")),
@@ -216,9 +216,16 @@ MUTANTS = (
            "levels_kept = min(A // B - 1, m - 1) + 1 if B else 1"),
     # the rigid shift as the first incumbent, and its answer without a node.
     # The tied-node image test at > instead of >= is exact too; only the
-    # node totals it adds show it.
+    # node totals it adds show it. The shift's pairs are one mask count per
+    # kept slot; counting lost slots in that mask only over-prices a seed
+    # that the search then finds at its true key, so no output shows it.
     Mutant("shift-pairs-counted-as-zero", TRANSLATIONS,
-           "pairs = _broken_pairs(nbr, verts, shift, lost)", "pairs = 0"),
+           "pairs //= 2", "pairs = 0"),
+    Mutant("shift-pairs-counted-twice", TRANSLATIONS,
+           "pairs //= 2", "pass"),
+    Mutant("shift-neighbors-moved-the-wrong-way", TRANSLATIONS,
+           "back = nbr[w] >> delta if delta >= 0 else nbr[w] << -delta",
+           "back = nbr[w] << delta if delta >= 0 else nbr[w] >> -delta"),
     Mutant("shift-answered-whenever-seeded", TRANSLATIONS,
            "if best[0] == floor_key:", "if best[1]:"),
     Mutant("shift-seeded-over-budget", TRANSLATIONS,
